@@ -6,7 +6,7 @@ from repro.apps.micropp import (LinearElastic, SecantNonlinear,
                                 StructuredHexMesh, solve_subdomain,
                                 spherical_inclusions)
 from repro.apps.nbody import accelerations_barnes_hut, plummer_sphere
-from repro.balance import solve_core_allocation
+from repro.balance import solve_core_allocation, solve_edge_allocation
 from repro.graph import BipartiteGraph, random_biregular
 from repro.sim import Simulator
 
@@ -40,6 +40,18 @@ def test_lp_solve_32_nodes(benchmark):
 
     allocation = benchmark(solve_core_allocation, graph, work, cores, speed)
     assert sum(sum(c.values()) for c in allocation.values()) == 32 * 48
+
+
+def test_lp_solve_fat_node_40_jobs(benchmark):
+    """The cross-job arbitration shape: 40 jobs on one fat node."""
+    rng = np.random.default_rng(0)
+    edges = [(j, 0) for j in range(40)]
+    home_of = {j: 0 for j in range(40)}
+    work = {j: float(rng.uniform(0, 48)) for j in range(40)}
+
+    allocation = benchmark(solve_edge_allocation, edges, home_of, work,
+                           {0: 768}, {0: 1.0}, 0.0)
+    assert sum(allocation[0].values()) == 768
 
 
 def test_expander_generation_64_nodes(benchmark):

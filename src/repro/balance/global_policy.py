@@ -18,6 +18,14 @@ The paper runs the solver as a separate CVXOPT process on node 0 taking
 ~57 ms at 32 nodes and growing ~quadratically; we reproduce that latency
 model (measurements observed at the tick, allocation applied after the
 gather+solve delay) with scipy's HiGHS as the backend.
+
+One node with one edge per apprank needs no LP solver: the node row
+binds, every worker sits on its bound ``max(1, s * k_e)``, and the
+optimum is unique, so :func:`_water_fill` computes it exactly with a sort
+and one pass. The jobs arbiter (the whole cluster as one fat node) and
+one-node single-app runs take that path; multi-node instances, whose
+optimum is not unique, stay on HiGHS. Both feed :func:`round_allocation`,
+whose tie-break ignores the last-ulp noise in which they differ.
 """
 
 from __future__ import annotations
@@ -140,7 +148,9 @@ def _solve_lp(edges: list[WorkerKey], appranks: list[int],
 
     Shared by the whole-cluster solve and the partitioned per-group solves.
     *node_cores* here is the capacity available to these edges (a group
-    solve subtracts the floors reserved for cross-group helpers).
+    solve subtracts the floors reserved for cross-group helpers). One node
+    with one edge per apprank is solved exactly by :func:`_water_fill`;
+    everything else goes to HiGHS.
     """
     if not edges:
         return {}
@@ -148,6 +158,54 @@ def _solve_lp(edges: list[WorkerKey], appranks: list[int],
         # No load signal: the LP is unbounded in s. Treat every apprank as
         # equally loaded, which yields the home-preferring equal split.
         work = {a: 1.0 for a in appranks}
+    if (len(edges) == len(appranks) == len({a for a, _n in edges})
+            and len({n for _a, n in edges}) == 1):
+        return _water_fill(edges, home_of, work, node_cores, node_speed,
+                           offload_penalty)
+    return _solve_lp_highs(edges, appranks, home_of, work, node_cores,
+                           node_speed, offload_penalty)
+
+
+def _water_fill(edges: list[WorkerKey], home_of: dict[int, int],
+                work: dict[int, float], node_cores: dict[int, float],
+                node_speed: dict[int, float],
+                offload_penalty: float) -> dict[WorkerKey, float]:
+    """Exact Eq. 1 optimum for one node with one edge per apprank.
+
+    With ``k_e = work_a / (speed_n * weight_e)`` apprank *a* needs
+    ``c_e >= max(1, s * k_e)``, so the best ``s`` is the root of
+    ``Σ_e max(1, s * k_e) = cores``. At that root the node row binds and
+    every ``c_e`` sits on its lower bound: the optimum is unique, and a
+    sort plus one pass finds it. Walking ``k`` in descending order, the
+    first ``m`` largest edges are above their floor when the root of
+    ``(n - m) + s * Σ_{i<=m} k_i = cores`` leaves edge ``m+1`` on it.
+    """
+    node = edges[0][1]
+    cores = node_cores[node]
+    if len(edges) > cores:
+        raise AllocationError(
+            f"core-allocation LP infeasible: {len(edges)} one-core floors "
+            f"exceed {cores:g} cores on node {node}")
+    slope = {}
+    for a, n in edges:
+        weight = 1.0 if n == home_of[a] else 1.0 / (1.0 + offload_penalty)
+        slope[(a, n)] = work.get(a, 0.0) / (node_speed[n] * weight)
+    ks = sorted(slope.values(), reverse=True)
+    active_sum = 0.0
+    for m, k in enumerate(ks, 1):
+        active_sum += k
+        s = (cores - (len(ks) - m)) / active_sum
+        if m == len(ks) or s * ks[m] <= 1.0:
+            break
+    return {e: max(1.0, s * k) for e, k in slope.items()}
+
+
+def _solve_lp_highs(edges: list[WorkerKey], appranks: list[int],
+                    home_of: dict[int, int], work: dict[int, float],
+                    node_cores: dict[int, float],
+                    node_speed: dict[int, float],
+                    offload_penalty: float) -> dict[WorkerKey, float]:
+    """Eq. 1 as a HiGHS LP (*work* already has a load signal)."""
     edge_index = {e: i for i, e in enumerate(edges)}
     edges_of_apprank: dict[int, list[WorkerKey]] = {a: [] for a in appranks}
     edges_of_node: dict[int, list[WorkerKey]] = {}

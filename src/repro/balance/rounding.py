@@ -17,6 +17,10 @@ __all__ = ["proportional_allocation", "round_allocation"]
 
 K = TypeVar("K", bound=Hashable)
 
+#: decimal digits kept when ranking fractional parts in
+#: :func:`round_allocation` (LP noise is ~1e-15; HiGHS bounds hold to ~1e-9)
+_TIE_DIGITS = 9
+
 
 def proportional_allocation(weights: Mapping[K, float], total: int,
                             minimum: int = 1) -> dict[K, int]:
@@ -80,7 +84,12 @@ def round_allocation(continuous: Mapping[K, float], total: int) -> dict[K, int]:
     if assigned > total:
         raise AllocationError(
             f"floors sum to {assigned} > {total}; infeasible LP solution")
-    order = sorted(keys, key=lambda k: (-(values[k] - counts[k]), -values[k], k))
+    # Largest fraction first, then largest value, then key. Both are
+    # quantised first: solvers return equal-demand workers an ulp or so
+    # apart, and that noise must not decide who gets the spare core.
+    order = sorted(keys, key=lambda k: (
+        -round(values[k] - counts[k], _TIE_DIGITS),
+        -round(values[k], _TIE_DIGITS), k))
     i = 0
     while assigned < total:
         counts[order[i % len(keys)]] += 1

@@ -1,5 +1,7 @@
 """Apportionment helpers: proportional_allocation and round_allocation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,15 @@ class TestRoundAllocation:
         counts = round_allocation({"a": 2.5, "b": 2.5}, 6)
         assert sum(counts.values()) == 6
         assert counts["a"] >= 2 and counts["b"] >= 2
+
+    def test_ulp_apart_ties_break_by_key(self):
+        # Equal-demand workers an ulp apart (LP solver noise) over 6
+        # cores, with one spare core: the key decides, not the noise.
+        noisy = math.nextafter(2.5, math.inf)
+        assert round_allocation({"a": 2.5, "b": noisy, "c": 1.0}, 6) \
+            == {"a": 3, "b": 2, "c": 1}
+        assert round_allocation({"a": noisy, "b": 2.5, "c": 1.0}, 6) \
+            == {"a": 3, "b": 2, "c": 1}
 
     def test_below_floor_rejected(self):
         with pytest.raises(AllocationError):

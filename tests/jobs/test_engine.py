@@ -187,3 +187,32 @@ class TestJobsSanitizer:
         sanitizer.on_finish(2.0, 1)
         assert sanitizer.summary() == {"allocations": 1, "grants": 2,
                                        "progress": 1, "finishes": 1}
+
+
+class TestClosedFormArbitration:
+    def test_global_arbiter_never_calls_highs(self, monkeypatch):
+        """Cross-job arbitration is a one-node Eq. 1: the closed form must
+        solve it, not a silent fall-back to HiGHS."""
+        from repro.balance import global_policy
+        spec = "poisson:seed=3,rate=8.0,n=8"
+        expected = run_trace(JobTrace.parse(spec), policy="global",
+                             scale=TINY).fingerprint()
+        clear_profile_cache()
+
+        def one_node_fails(solve):
+            def guarded(*args, **kwargs):
+                b_ub = kwargs["b_ub"] if "b_ub" in kwargs else args[2]
+                # node rows are the only ones with a positive rhs
+                if sum(1 for b in b_ub if b > 0) == 1:
+                    raise AssertionError("one-node Eq. 1 reached HiGHS")
+                return solve(*args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr(global_policy, "_solve_highs_direct",
+                            one_node_fails(global_policy._solve_highs_direct))
+        monkeypatch.setattr(global_policy, "linprog",
+                            one_node_fails(global_policy.linprog))
+        result = run_trace(JobTrace.parse(spec), policy="global",
+                           scale=TINY)
+        assert result.reallocations > 0
+        assert result.fingerprint() == expected
