@@ -8,6 +8,11 @@ fraction of nonlinear subdomains varies strongly across appranks — the
 static, apprank-level imbalance of Figures 6/7/9. Costs can either come
 from the built-in model (deterministic, used by benchmarks) or be measured
 from the real kernel in :mod:`.driver` (see :func:`measure_kernel_costs`).
+
+Sampling: each apprank draws its own costs once from a generator seeded by
+``(seed, apprank)``. There is no rejection loop and no fallback, so every
+spec yields its modelled distribution; the cost is one pass over that
+apprank's subdomains.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ ORB's interaction-count cost model cannot see. The slow node is part of
 the :class:`~repro.cluster.topology.ClusterSpec` (real hardware slowness,
 unlike the synthetic §7.5 emulation), so the runtime's node-speed scaling
 applies to whatever tasks land there.
+
+Sampling: residuals and per-task jitter come from generators seeded by
+``(seed, pair or apprank, timestep)``, with one direct uniform draw each.
+There is no rejection loop and no fallback, so every spec yields its
+modelled distribution.
 """
 
 from __future__ import annotations

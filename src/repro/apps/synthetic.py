@@ -14,6 +14,7 @@ The slow-node variant (§7.5) keeps all cluster nodes at full speed and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
@@ -78,43 +79,140 @@ class SyntheticSpec:
 def task_durations(spec: SyntheticSpec) -> np.ndarray:
     """Per-apprank *nominal* task duration meeting the target imbalance.
 
-    The worst-case rank gets ``mean * imbalance``; the remaining ranks'
-    durations are drawn uniformly (Dirichlet over the constrained simplex)
-    so they sum to the remaining budget and never exceed the maximum.
-    Deterministic given the spec's seed. The §7.5 slow-factor multiplier is
-    NOT included — it emulates hardware, not application work; apply it via
+    The worst-case rank gets ``mean * imbalance``; the other ranks' durations
+    are uniform over {x : sum(x) = budget, 0 <= x_i <= worst}, the §6.2
+    "space of values respecting the constraints". Two exact stages on one
+    ``default_rng(spec.seed)`` stream draw them:
+
+    1. up to 1000 flat-Dirichlet draws, keeping the first that respects the
+       bound (uniform on the constrained set, given that it is accepted);
+    2. if none fits, Stafford's randfixedsum (:func:`_randfixedsum`).
+
+    Both stages are uniform on the set, so the result is too. Three specs
+    are exact without sampling: one other rank gets the whole budget,
+    imbalance 1.0 gives every rank ``mean``, and imbalance == appranks gives
+    the other ranks zero. Every result is checked (sum, bounds, maximum on
+    the worst rank) and a violation raises :class:`WorkloadError`.
+
+    The vector is computed once per spec and memoised; the returned array
+    is shared and read-only. The §7.5 slow-factor multiplier is NOT
+    included — it emulates hardware, not application work; apply it via
     :func:`emulated_durations`.
     """
+    return _durations(spec)
+
+
+#: flat-Dirichlet draws tried before falling back to randfixedsum
+_REJECTION_DRAWS = 1000
+#: relative tolerance of the checks on a sampled duration vector
+_CHECK_RTOL = 1e-9
+
+
+@functools.lru_cache(maxsize=1024)
+def _durations(spec: SyntheticSpec) -> np.ndarray:
+    """Body of :func:`task_durations`, memoised: one sample per spec."""
     a = spec.num_appranks
     mean = spec.mean_duration
-    if a == 1:
-        return np.array([mean])
     worst = mean * spec.imbalance
-    budget = a * mean - worst
-    rest = a - 1
-    if budget < 0:
-        raise WorkloadError("imbalance exceeds apprank count")
-    rng = np.random.default_rng(spec.seed)
-    for _ in range(1000):
-        shares = rng.dirichlet(np.ones(rest)) * budget
-        if np.all(shares <= worst + 1e-12):
-            break
-    else:
-        # Extremely skewed targets: fall back to an even split (still
-        # respects the constraints exactly).
-        shares = np.full(rest, budget / rest)
     durations = np.empty(a)
     worst_rank = _worst_rank(spec)
     others = [r for r in range(a) if r != worst_rank]
     durations[worst_rank] = worst
-    durations[others] = shares
+    durations[others] = _other_shares(spec, worst)
     if (spec.slow_rank is not None and spec.slow_has == "least"
             and spec.slow_rank != worst_rank):
         # The slow rank must carry the least application work: swap its
         # share with the minimum among the non-worst ranks.
         least = min(others, key=lambda r: durations[r])
         durations[[spec.slow_rank, least]] = durations[[least, spec.slow_rank]]
+    _check_durations(spec, durations, worst_rank)
+    durations.setflags(write=False)
     return durations
+
+
+def _other_shares(spec: SyntheticSpec, worst: float) -> np.ndarray:
+    """Durations of the non-worst ranks: uniform, summing to the budget."""
+    a = spec.num_appranks
+    rest = a - 1
+    budget = a * spec.mean_duration - worst
+    if rest == 1:
+        return np.array([budget])
+    if spec.imbalance == 1.0:
+        return np.full(rest, spec.mean_duration)
+    if spec.imbalance == a:
+        return np.zeros(rest)
+    rng = np.random.default_rng(spec.seed)
+    for _ in range(_REJECTION_DRAWS):
+        shares = rng.dirichlet(np.ones(rest)) * budget
+        if np.all(shares <= worst + 1e-12):
+            return shares
+    return worst * _randfixedsum(rng, rest, budget / worst)
+
+
+def _randfixedsum(rng: np.random.Generator, n: int,
+                  total: float) -> np.ndarray:
+    """One point uniform on {x in [0, 1]^n : sum(x) = total}, 0 < total < n.
+
+    Stafford's randfixedsum (2006). The hyperplane section of the unit cube
+    is a union of simplices; ``k = floor(total)`` picks the slab it cuts.
+    A table built by the volume recursion ``w`` over leading coordinates
+    gives, for each coordinate, the probability of stepping to the next
+    slab down. Walking that table chooses a simplex with probability
+    proportional to its volume, the simplex is sampled uniformly with the
+    ``u ** (1/i)`` construction, and a random permutation makes the
+    coordinates exchangeable. O(n^2) to build the table, O(n) per draw.
+    """
+    k = min(int(total), n - 1)
+    s = min(max(total, float(k)), float(k + 1))
+    # distances of s to the slab boundaries k, k-1, ... and k+1, k+2, ...
+    below = s - np.arange(k, k - n, -1)
+    above = np.arange(k + n, k, -1) - s
+    # w[i, j] is a scaled volume; start at the largest double so deep
+    # recursions stay representable, and guard 0/0 with the tiniest one
+    w = np.zeros((n, n + 1))
+    w[0, 1] = np.finfo(float).max
+    tiny = np.nextafter(0.0, 1.0)
+    step_down = np.zeros((n - 1, n))
+    for i in range(2, n + 1):
+        from_below = w[i - 2, 1:i + 1] * below[:i] / i
+        from_above = w[i - 2, :i] * above[n - i:] / i
+        w[i - 1, 1:i + 1] = from_below + from_above
+        scale = w[i - 1, 1:i + 1] + tiny
+        step_down[i - 2, :i] = np.where(above[n - i:] > below[:i],
+                                        from_above / scale,
+                                        1.0 - from_below / scale)
+    choose = rng.random(n - 1)
+    place = rng.random(n - 1)
+    x = np.empty(n)
+    column = k
+    acc, prod = 0.0, 1.0
+    for i in range(n - 1, 0, -1):
+        down = float(choose[n - 1 - i] <= step_down[i - 1, column])
+        root = place[n - 1 - i] ** (1.0 / i)
+        acc += (1.0 - root) * prod * s / (i + 1)
+        prod *= root
+        x[n - 1 - i] = acc + prod * down
+        s -= down
+        column -= int(down)
+    x[n - 1] = acc + prod * s
+    return x[rng.permutation(n)]
+
+
+def _check_durations(spec: SyntheticSpec, durations: np.ndarray,
+                     worst_rank: int) -> None:
+    """Raise :class:`WorkloadError` unless *durations* meets §6.2."""
+    total = spec.num_appranks * spec.mean_duration
+    problems = []
+    if abs(durations.sum() - total) > _CHECK_RTOL * total:
+        problems.append(f"sum {durations.sum()!r} != {total!r}")
+    if durations.min() < 0.0:
+        problems.append(f"negative duration {durations.min()!r}")
+    if durations.max() > durations[worst_rank] * (1.0 + _CHECK_RTOL):
+        problems.append(f"max {durations.max()!r} above the worst rank's "
+                        f"{durations[worst_rank]!r}")
+    if problems:
+        raise WorkloadError(f"synthetic durations for {spec} violate §6.2: "
+                            + "; ".join(problems))
 
 
 def _worst_rank(spec: SyntheticSpec) -> int:

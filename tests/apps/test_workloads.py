@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import synthetic
 from repro.apps.micropp import MicroppSpec, nonlinear_fractions, subdomain_durations
 from repro.apps.micropp import apprank_loads as micropp_loads
 from repro.apps.nbody import NBodySpec, block_durations, rank_residual
@@ -70,17 +71,115 @@ class TestSyntheticSpec:
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, c)
 
-    @given(st.integers(2, 16), st.floats(1.0, 4.0), st.integers(0, 1000))
+    @given(st.integers(1, 64), st.floats(0.0, 1.0), st.integers(0, 10_000))
+    @example(64, 0.0, 0)
+    @example(64, 1.0, 0)
+    @example(64, 1.0 / 63, 5)
     @settings(max_examples=100, deadline=None)
-    def test_constraints_hold_for_any_spec(self, appranks, target, seed):
-        if target > appranks:
-            target = float(appranks)
+    def test_constraints_hold_for_any_spec(self, appranks, fraction, seed):
+        """Sum, bounds and maximum on the worst rank over 1-64 appranks and
+        imbalance 1.0-appranks, and the same vector again for the seed."""
+        target = 1.0 + fraction * (appranks - 1)
         spec = SyntheticSpec(num_appranks=appranks, imbalance=target,
                              cores_per_apprank=4, seed=seed)
         durations = task_durations(spec)
-        assert durations.min() >= -1e-15
-        assert durations.mean() == pytest.approx(spec.mean_duration)
-        assert durations.max() == pytest.approx(spec.mean_duration * target)
+        worst = spec.mean_duration * target
+        total = appranks * spec.mean_duration
+        assert abs(durations.sum() - total) <= 1e-9 * total
+        assert durations.min() >= 0.0
+        assert durations[0] == worst
+        assert durations.max() <= worst * (1.0 + 1e-9)
+        np.testing.assert_array_equal(durations,
+                                      synthetic._durations.__wrapped__(spec))
+
+
+class TestSyntheticSampler:
+    """The two-stage §6.2 sampler: rejection, then exact randfixedsum."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        synthetic._durations.cache_clear()
+        yield
+        synthetic._durations.cache_clear()
+
+    @pytest.mark.parametrize("appranks", [3, 4, 16, 64])
+    def test_imbalance_one_gives_exact_mean(self, appranks):
+        spec = SyntheticSpec(num_appranks=appranks, imbalance=1.0,
+                             cores_per_apprank=4)
+        assert (task_durations(spec) == spec.mean_duration).all()
+
+    def test_randfixedsum_marginals_match_rejection(self):
+        """Where rejection accepts (8 appranks, imbalance 3.0: 7 other
+        ranks, budget 0.25, bound 0.15), both stages sample the same
+        distribution: per-coordinate means agree within 5 standard errors
+        and variances within 10% (about 5 standard errors at n=20000)."""
+        n, samples = 7, 20_000
+        budget, worst = 0.25, 0.15
+        rng = np.random.default_rng(20220829)
+        exact = np.array([worst * synthetic._randfixedsum(rng, n, budget / worst)
+                          for _ in range(samples)])
+        draws = rng.dirichlet(np.ones(n), size=4 * samples) * budget
+        rejected = draws[(draws <= worst).all(axis=1)][:samples]
+        assert len(rejected) == samples
+        for sample in (exact, rejected):
+            np.testing.assert_allclose(sample.sum(axis=1), budget, rtol=1e-12)
+            assert sample.min() >= 0.0 and sample.max() <= worst
+        sem = np.sqrt((exact.var(axis=0) + rejected.var(axis=0)) / samples)
+        assert (np.abs(exact.mean(axis=0) - rejected.mean(axis=0))
+                <= 5 * sem).all()
+        np.testing.assert_allclose(exact.var(axis=0), rejected.var(axis=0),
+                                   rtol=0.10)
+
+    def test_64_ranks_at_imbalance_2_depend_on_seed(self):
+        """Rejection never accepts here; the even-split fallback made every
+        seed identical."""
+        kwargs = dict(num_appranks=64, imbalance=2.0, cores_per_apprank=4)
+        one = task_durations(SyntheticSpec(seed=1, **kwargs))
+        two = task_durations(SyntheticSpec(seed=2, **kwargs))
+        assert not np.allclose(one[1:], two[1:])
+        assert one[1:].std() > 0.01 and two[1:].std() > 0.01
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        (dict(num_appranks=8, imbalance=2.0),
+         [0.1, 0.07080677290936122, 0.03320936717784171, 0.08424550208436243,
+          0.037775803590210134, 0.04564695093262372, 0.01958437225030485,
+          0.008731231055295989]),
+        (dict(num_appranks=4, imbalance=3.0, seed=7, slow_rank=1,
+              slow_has="least"),
+         [0.015372507212350605, 0.012352872004442813, 0.022274620783206574,
+          0.15000000000000002]),
+    ])
+    def test_accepted_draws_are_bit_identical(self, kwargs, expected):
+        """Specs the rejection stage accepts keep the earlier generator's
+        exact vectors (pinned from it)."""
+        spec = SyntheticSpec(cores_per_apprank=8, **kwargs)
+        np.testing.assert_array_equal(task_durations(spec), expected)
+
+    def test_memoised_per_spec_and_read_only(self, monkeypatch):
+        calls = []
+        original = synthetic._randfixedsum
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(synthetic, "_randfixedsum", counting)
+        results = [task_durations(SyntheticSpec(
+            num_appranks=64, imbalance=2.0, cores_per_apprank=4))
+            for _ in range(64)]
+        assert len(calls) == 1
+        info = synthetic._durations.cache_info()
+        assert (info.misses, info.hits) == (1, 63)
+        assert all(r is results[0] for r in results)
+        with pytest.raises(ValueError):
+            results[0][1] = 0.0
+
+    def test_violating_sample_raises(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_randfixedsum",
+                            lambda rng, n, total: np.full(n, 1.5))
+        with pytest.raises(WorkloadError, match="violate"):
+            task_durations(SyntheticSpec(num_appranks=64, imbalance=2.0,
+                                         cores_per_apprank=4))
 
 
 class TestSyntheticSlowNode:
