@@ -512,15 +512,7 @@ class GlobalLpPolicy:
                 partition_nodes=self.partition_nodes,
                 dead_nodes=frozenset(self.dead_nodes),
                 graph=self.graph)
-            perf = self.sim.perf
-            if perf is None:
-                allocation = self.strategy.allocate(view)
-            else:
-                perf.begin("policies")
-                try:
-                    allocation = self.strategy.allocate(view)
-                finally:
-                    perf.end()
+            allocation = self.strategy.allocate(view)
         except AllocationError as exc:
             self.fallbacks += 1
             warnings.warn(

@@ -128,15 +128,7 @@ class LocalConvergencePolicy:
         view = NodeAllocationView(
             node_id=node_id, cores=self.node_cores[node_id],
             averages=dict(averages))
-        perf = self.sim.perf
-        if perf is None:
-            counts = self.strategy.allocate_node(view)
-        else:
-            perf.begin("policies")
-            try:
-                counts = self.strategy.allocate_node(view)
-            finally:
-                perf.end()
+        counts = self.strategy.allocate_node(view)
         current = {w.key: w.arbiter.owned_count(w.key) for w in workers}
         if counts != current:
             self.drom.set_node_ownership(node_id, counts)

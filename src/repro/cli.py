@@ -69,16 +69,6 @@ target sweeps offered load against all three policies::
     python -m repro jobs --trace poisson:seed=1,rate=0.5,n=8 \\
         --realloc-policy gavel --check
     python -m repro multijob --scale small
-
-The ``bench`` target measures the simulator itself on the wall clock
-(:mod:`repro.perf`): events/sec, per-phase timings, peak RSS and
-per-subsystem attribution over a pinned workload, written to a
-schema-versioned ``BENCH_<target>.json`` that
-``tools/compare_bench.py`` diffs against the committed trajectory::
-
-    python -m repro bench headline --repeat 3
-    python -m repro bench synthetic --profile --bench-dir /tmp/bench
-    python tools/compare_bench.py headline --report-only
 """
 
 from __future__ import annotations
@@ -91,7 +81,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CampaignError, ExperimentError, FaultError
+from .errors import CampaignError, FaultError
 from .experiments import (CAMPAIGN_GRIDS, MEDIUM, PAPER, SMALL, TINY,
                           ResultTable, Scale, fig05_policies,
                           fig06_applications, fig07_local, fig08_sweep,
@@ -270,25 +260,21 @@ def main(argv: Iterable[str] | None = None) -> int:
                     "DLB' (ICPP 2022) on the simulator.")
     parser.add_argument("target", choices=TARGETS + ("all", "trace",
                                                      "policies", "check",
-                                                     "campaign", "bench",
-                                                     "jobs"),
+                                                     "campaign", "jobs"),
                         help="which figure/table to regenerate, 'trace' "
                              "to record one instrumented run, 'policies' "
                              "to list the registered policy-kernel "
                              "strategies, 'check' to run the invariant "
                              "sanitizer over a conformance workload, "
                              "'campaign' to shard a sweep grid across a "
-                             "fault-tolerant worker pool, 'bench' to "
-                             "measure the simulator's wall-clock "
-                             "performance and write BENCH_<target>.json, "
-                             "or 'jobs' to run a multi-job arrival trace "
-                             "under cross-job DROM reallocation")
+                             "fault-tolerant worker pool, or 'jobs' to run "
+                             "a multi-job arrival trace under cross-job "
+                             "DROM reallocation")
     parser.add_argument("experiment", nargs="?", default=None,
-                        help="trace/check/bench only: which workload to run "
+                        help="trace/check only: which workload to run "
                              f"(trace: {', '.join(traced.TRACE_TARGETS)}; "
-                             "check: headline, synthetic, nbody, resilience; "
-                             "bench: headline, synthetic, nbody — default "
-                             "headline)")
+                             "check: headline, synthetic, nbody, "
+                             "resilience)")
     parser.add_argument("--scale", choices=sorted(_SCALES), default=None,
                         help="experiment sizing; 'paper' uses the published "
                              "parameters (48-core nodes, 100 tasks/core) "
@@ -363,17 +349,6 @@ def main(argv: Iterable[str] | None = None) -> int:
                         metavar="N",
                         help="jobs only: nodes in the shared cluster "
                              "(default: the trace's largest job, min 2)")
-    parser.add_argument("--repeat", type=int, default=None, metavar="N",
-                        help="bench only: measurement repeats (default: 3); "
-                             "simulated outcomes must be identical across "
-                             "them")
-    parser.add_argument("--profile", action="store_true",
-                        help="bench only: additionally profile one run "
-                             "under cProfile and write BENCH_<target>"
-                             ".pstats + .folded collapsed stacks")
-    parser.add_argument("--bench-dir", type=Path, default=None, metavar="DIR",
-                        help="bench only: where to write BENCH_<target>"
-                             ".json (default: current directory)")
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         return _dispatch(parser, args)
@@ -398,13 +373,6 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         _print_policies()
         return 0
 
-    if args.target != "bench":
-        if args.repeat is not None:
-            parser.error("--repeat only applies to the 'bench' target")
-        if args.profile:
-            parser.error("--profile only applies to the 'bench' target")
-        if args.bench_dir is not None:
-            parser.error("--bench-dir only applies to the 'bench' target")
     if args.target != "jobs":
         if args.trace is not None:
             parser.error("--trace only applies to the 'jobs' target")
@@ -440,8 +408,8 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             return _fail(f"bad --faults spec: {exc}")
     if args.scale is not None:
         scale = _SCALES[args.scale]
-    else:   # checks/benches favour quick feedback; the rest paper sizing
-        scale = SMALL if args.target in ("check", "bench", "jobs") else MEDIUM
+    else:   # checks and jobs favour quick feedback; the rest paper sizing
+        scale = SMALL if args.target in ("check", "jobs") else MEDIUM
 
     if args.target == "jobs":
         from .errors import AllocationError, JobsError, ValidationError
@@ -478,31 +446,6 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             path = args.csv / f"jobs_{scale.name}.csv"
             atomic_write_text(path, result.table().to_csv() + "\n")
             print(f"# wrote {path}")
-        print(f"# wall time: {time.perf_counter() - started:.1f} s")
-        return 0
-
-    if args.target == "bench":
-        from .perf import bench as bench_mod
-        name = args.experiment or "headline"
-        if name not in bench_mod.BENCH_TARGETS:
-            parser.error("bench needs a workload to measure: "
-                         f"one of {', '.join(bench_mod.BENCH_TARGETS)}")
-        started = time.perf_counter()
-        try:
-            result = bench_mod.run_bench(
-                name, scale, repeat=args.repeat or 3,
-                progress=lambda msg: print(f"# {msg}", file=sys.stderr))
-        except ExperimentError as exc:
-            return _fail(str(exc))
-        bench_dir = args.bench_dir if args.bench_dir is not None else Path(".")
-        path = bench_mod.write_record(result, bench_dir)
-        print(result.format())
-        print(f"# wrote {path}")
-        if args.profile:
-            pstats_path, folded_path = bench_mod.write_profile(
-                name, scale, bench_dir)
-            print(f"# wrote {pstats_path}")
-            print(f"# wrote {folded_path}")
         print(f"# wall time: {time.perf_counter() - started:.1f} s")
         return 0
 

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..perf import PerfRecorder
-
 from ..cluster.node import Core, Node, WorkerKey
 from ..errors import DlbError
 from ..policies import (EagerLend, LendPolicy, OwnerFirstReclaim,
@@ -57,16 +54,12 @@ class NodeArbiter:
                  obs: Optional["Observability"] = None,
                  lend_policy: Optional[LendPolicy] = None,
                  reclaim_policy: Optional[ReclaimPolicy] = None,
-                 validator: Optional["Sanitizer"] = None,
-                 perf: Optional["PerfRecorder"] = None) -> None:
+                 validator: Optional["Sanitizer"] = None) -> None:
         self.node = node
         self.lewi_enabled = lewi_enabled
         self.on_ownership_change = on_ownership_change
         self.obs = obs
         self.validator = validator
-        #: optional wall-clock recorder; the arbiter has no simulator
-        #: reference, so the runtime injects it directly
-        self.perf = perf
         #: lend/grant decision strategies (see :mod:`repro.policies.lewi`);
         #: the defaults reproduce the paper's LeWI behaviour
         self.lend_policy: LendPolicy = lend_policy or EagerLend()
@@ -183,15 +176,6 @@ class NodeArbiter:
         The caller must have stopped the worker's tasks first (the cores
         must not be occupied by it). Returns the number of cores moved.
         """
-        if self.perf is None:
-            return self._retire_worker(worker_key)
-        self.perf.begin("dlb.arbitration")
-        try:
-            return self._retire_worker(worker_key)
-        finally:
-            self.perf.end()
-
-    def _retire_worker(self, worker_key: WorkerKey) -> int:
         if worker_key not in self.workers:
             raise DlbError(f"retire of unknown worker {worker_key!r} on node "
                            f"{self.node.node_id}")
@@ -242,15 +226,6 @@ class NodeArbiter:
         Preference order: an idle core it owns (taking back ones it lent),
         then — with LeWI — an idle core another worker has lent.
         """
-        if self.perf is None:
-            return self._acquire_core(worker)
-        self.perf.begin("dlb.arbitration")
-        try:
-            return self._acquire_core(worker)
-        finally:
-            self.perf.end()
-
-    def _acquire_core(self, worker: WorkerPort) -> Optional[Core]:
         if self.dead:
             return None
         cols = self.node.cols
@@ -278,15 +253,6 @@ class NodeArbiter:
         :class:`~repro.policies.LendPolicy`'s decision (the default lends
         all of them). Returns the number of cores newly lent.
         """
-        if self.perf is None:
-            return self._lend_idle_cores(worker_key)
-        self.perf.begin("dlb.arbitration")
-        try:
-            return self._lend_idle_cores(worker_key)
-        finally:
-            self.perf.end()
-
-    def _lend_idle_cores(self, worker_key: WorkerKey) -> int:
         if not self.lewi_enabled or self.dead:
             return 0
         cols = self.node.cols
@@ -299,8 +265,6 @@ class NodeArbiter:
         if type(self.lend_policy) is EagerLend:
             # EagerLend lends every idle core unconditionally; skip the
             # view snapshot (and its backlog probe) on the default path.
-            if self.perf is not None:
-                self.perf.count("policies")
             decided = len(idle)
         else:
             worker = self.workers.get(worker_key)
@@ -308,14 +272,7 @@ class NodeArbiter:
                             idle_owned_cores=len(idle),
                             backlog=self._backlog(worker) if worker is not None
                             else 0)
-            if self.perf is None:
-                decided = self.lend_policy.lend_count(view)
-            else:
-                self.perf.begin("policies")
-                try:
-                    decided = self.lend_policy.lend_count(view)
-                finally:
-                    self.perf.end()
+            decided = self.lend_policy.lend_count(view)
         lent = max(0, min(decided, len(idle)))
         for i in idle[:lent]:
             lent_col[i] = True
@@ -342,16 +299,6 @@ class NodeArbiter:
         :class:`~repro.policies.LendPolicy` agrees (by default: whenever
         the owner has nothing ready).
         """
-        if self.perf is None:
-            self._release_core(core, worker_key)
-            return
-        self.perf.begin("dlb.arbitration")
-        try:
-            self._release_core(core, worker_key)
-        finally:
-            self.perf.end()
-
-    def _release_core(self, core: Core, worker_key: WorkerKey) -> None:
         if core.busy:
             raise DlbError("release_core on a busy core (stop the task first)")
         if self.dead:
@@ -365,14 +312,7 @@ class NodeArbiter:
             self._release_core_fast(core, worker_key)
             return
         view = self._grant_view(core, worker_key)
-        if self.perf is None:
-            order = self.reclaim_policy.grant_order(view)
-        else:
-            self.perf.begin("policies")
-            try:
-                order = self.reclaim_policy.grant_order(view)
-            finally:
-                self.perf.end()
+        order = self.reclaim_policy.grant_order(view)
         offered: set[WorkerKey] = set()
         for key in order:
             if key in offered:
@@ -399,14 +339,7 @@ class NodeArbiter:
             if worker.start_next_on(core):
                 return
         # Nobody can use it: idle. Lend it if the lend policy says so.
-        if self.perf is None or not self.lewi_enabled:
-            core.lent = self.lewi_enabled and self.lend_policy.lend_released(view)
-        else:
-            self.perf.begin("policies")
-            try:
-                core.lent = self.lend_policy.lend_released(view)
-            finally:
-                self.perf.end()
+        core.lent = self.lewi_enabled and self.lend_policy.lend_released(view)
         if core.lent:
             self.lends += 1
             if self.obs is not None and core.owner is not None:
@@ -426,9 +359,6 @@ class NodeArbiter:
         idle branch means the owner grant above found nothing ready (or no
         registered owner), so with LeWI enabled the core is always lent.
         """
-        perf = self.perf
-        if perf is not None:
-            perf.count("policies")
         workers = self.workers
         owner_key = core.owner
         lewi = self.lewi_enabled
@@ -457,8 +387,6 @@ class NodeArbiter:
                 self.borrows += 1
                 if worker.start_next_on(core):
                     return
-            if perf is not None:
-                perf.count("policies")
             core.lent = True
             self.lends += 1
         else:
@@ -489,15 +417,6 @@ class NodeArbiter:
         applied at their current task's completion. Returns the number of
         cores whose (current or pending) owner changed.
         """
-        if self.perf is None:
-            return self._set_ownership(counts)
-        self.perf.begin("dlb.arbitration")
-        try:
-            return self._set_ownership(counts)
-        finally:
-            self.perf.end()
-
-    def _set_ownership(self, counts: dict[WorkerKey, int]) -> int:
         if self.dead:
             raise DlbError(f"node {self.node.node_id} has failed; DROM "
                            "ownership is frozen")

@@ -164,7 +164,7 @@ TINY = Scale(name="tiny", cores_per_node=4, tasks_per_core=4, iterations=2,
 SMALL = Scale(name="small", cores_per_node=8, tasks_per_core=10, iterations=3,
               micropp_subdomains_per_core=4,
               local_period=0.02, global_period=0.2)
-#: Default experiment scale used by the bench harness.
+#: Default scale of the figure targets.
 MEDIUM = Scale(name="medium", cores_per_node=16, tasks_per_core=25,
                iterations=4, micropp_subdomains_per_core=8,
                local_period=0.05, global_period=0.5)

@@ -83,11 +83,10 @@ class RuntimeConfig:
     #: events or consumes randomness), so enabling it does not perturb
     #: timing. Off by default — disabled runs never import the subsystem.
     validate: bool = False
-    #: wall-clock self-profiling (:mod:`repro.perf`): phase timers and
-    #: per-subsystem attribution on the *host* clock. Only ever reads
-    #: ``time.perf_counter()``, so arming it cannot perturb the simulated
-    #: run. Off by default — disabled runs never import the subsystem.
-    perf: bool = False
+    #: not a field (no annotation, so not settable): there is no in-process
+    #: wall-clock recorder. ``perfbench/workloads.py`` still reads it when
+    #: it asserts that every tap of a timed run is off.
+    perf = False
     #: record busy/owned trace timelines (costs memory; used by Figs 5/9/11)
     trace: bool = False
     #: ownership sampling period for traces, seconds

@@ -102,17 +102,6 @@ class AppRankScheduler:
 
     def on_ready(self, task: Task) -> None:
         """Dependency system callback: *task* is now satisfiable."""
-        perf = self.sim.perf
-        if perf is None:
-            self._on_ready(task)
-            return
-        perf.begin("nanos.scheduler")
-        try:
-            self._on_ready(task)
-        finally:
-            perf.end()
-
-    def _on_ready(self, task: Task) -> None:
         if self.obs is not None:
             task.ready_time = self.sim.now
         if task.pinned_node is not None:
@@ -145,37 +134,21 @@ class AppRankScheduler:
         if self._draining or not self.queue:
             return
         self._draining = True
-        perf = self.sim.perf
-        if perf is not None:
-            perf.begin("nanos.scheduler")
         try:
             self._drain_once()
         finally:
             self._draining = False
-            if perf is not None:
-                perf.end()
 
     def _drain_once(self) -> None:
         items = list(self.queue)
         if type(self.policy).drain_order is OffloadPolicy.drain_order:
             # The base-class order is the identity (FIFO): skip building
-            # the task/scheduler views the policy would ignore. The call
-            # still lands in the deterministic perf call counts.
-            perf = self.sim.perf
-            if perf is not None:
-                perf.count("policies")
+            # the task/scheduler views the policy would ignore.
             order = range(len(items))
         else:
             task_views = tuple(self._task_view(t) for t in items)
-            perf = self.sim.perf
-            if perf is not None:
-                perf.begin("policies")
-            try:
-                order = list(self.policy.drain_order(task_views,
-                                                     self.scheduler_view(None)))
-            finally:
-                if perf is not None:
-                    perf.end()
+            order = list(self.policy.drain_order(task_views,
+                                                 self.scheduler_view(None)))
             if sorted(order) != list(range(len(items))):
                 raise PolicyError(
                     f"{self.policy.name!r}.drain_order returned {order!r}, not "
@@ -208,19 +181,12 @@ class AppRankScheduler:
         """
         if not self.queue:
             return False
-        perf = self.sim.perf
-        if perf is not None:
-            perf.begin("nanos.scheduler")
-        try:
-            if self.obs is not None:
-                self.obs.policy_decision(self.policy.name, "stolen")
-            self._assign(self.queue.popleft(), worker.node_id)
-            if self.obs is not None:
-                self.obs.queue_depth(self.apprank, self.home_node,
-                                     len(self.queue))
-        finally:
-            if perf is not None:
-                perf.end()
+        if self.obs is not None:
+            self.obs.policy_decision(self.policy.name, "stolen")
+        self._assign(self.queue.popleft(), worker.node_id)
+        if self.obs is not None:
+            self.obs.queue_depth(self.apprank, self.home_node,
+                                 len(self.queue))
         return True
 
     @property
@@ -262,14 +228,7 @@ class AppRankScheduler:
                 and type(self.policy) is TentativeImmediateOffload):
             return self._place_fast(task)
         view = self.scheduler_view(task)
-        perf = self.sim.perf
-        if perf is not None:
-            perf.begin("policies")
-        try:
-            decision = self.policy.choose_worker(self._task_view(task), view)
-        finally:
-            if perf is not None:
-                perf.end()
+        decision = self.policy.choose_worker(self._task_view(task), view)
         if decision is QUEUE:
             if self.obs is not None and not drained:
                 self.obs.policy_decision(self.policy.name, "queue")
@@ -302,11 +261,8 @@ class AppRankScheduler:
         :meth:`scheduler_view` snapshot — same locality order, same load
         bound, same tie-breaks — but without constructing the per-decision
         view dataclasses. Only taken when no observer or validator needs
-        the snapshot; the decision still lands in the perf call counts.
+        the snapshot.
         """
-        perf = self.sim.perf
-        if perf is not None:
-            perf.count("policies")
         workers = self.workers
         inputs = task.inputs
         if inputs:

@@ -27,13 +27,8 @@ little uniformity for speed:
   free on the hot path (static labels like ``"timeout"`` are interned
   constants and always attached);
 * :meth:`Simulator.run` has a tight drain loop for the common case
-  (no ``until``, no event cap, no perf recorder, no validator) that
-  skips the peek/step double scan and batches the ``events_fired``
-  counter update;
-* per-event perf framing was removed from :meth:`Simulator.step`: the
-  runtime opens one ``engine.dispatch`` frame around the whole drain
-  instead, which attributes identically (nested subsystem frames
-  subtract from it) at none of the per-event clock cost.
+  (no ``until``, no event cap, no validator) that skips the peek/step
+  double scan and batches the ``events_fired`` counter update.
 """
 
 from __future__ import annotations
@@ -251,9 +246,6 @@ class Simulator:
         #: sync by the ``tracer``/``validator`` setters so plain runs pay
         #: nothing for labels nobody will read
         self.labels = False
-        #: optional wall-clock recorder (:class:`repro.perf.PerfRecorder`):
-        #: only ever reads the host clock
-        self.perf: Optional[Any] = None
 
     @property
     def tracer(self) -> Optional[Any]:
@@ -350,15 +342,7 @@ class Simulator:
         self.events_fired += 1
         validator = self._validator
         if validator is not None:
-            perf = self.perf
-            if perf is not None:
-                perf.begin("validate.sanitizer")
-                try:
-                    validator.on_event(event)
-                finally:
-                    perf.end()
-            else:
-                validator.on_event(event)
+            validator.on_event(event)
         event.callback()
         return True
 
@@ -373,8 +357,7 @@ class Simulator:
         if self._running:
             raise SimulationError("run() re-entered")
         self._running = True
-        if (until is None and max_events is None
-                and self._validator is None and self.perf is None):
+        if until is None and max_events is None and self._validator is None:
             # Tight drain: no peek/step double scan, no per-event branch
             # ladder, one counter update at the end.
             queue = self._queue

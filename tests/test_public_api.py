@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.policies",
     "repro.validate",
     "repro.campaign",
-    "repro.perf",
     "repro.jobs",
 ]
 
