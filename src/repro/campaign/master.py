@@ -42,11 +42,11 @@ import heapq
 import json
 import multiprocessing
 import os
-import queue as queue_module
 import random
 import signal
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -126,6 +126,8 @@ class _Worker:
     uid: int
     proc: Any
     task_queue: Any
+    #: read end of this incarnation's own result pipe
+    results: Any
     last_seen: float
     assignment: Optional[tuple[Cell, int, float]] = None   # cell, attempt, t0
 
@@ -189,7 +191,6 @@ class _Master:
         self.progress = progress
         self.metrics = MetricsRegistry()
         self.ctx = multiprocessing.get_context("spawn")
-        self.result_queue = self.ctx.Queue()
         self.slots: dict[int, _Worker] = {}
         self.by_uid: dict[int, _Worker] = {}
         self.next_uid = 0
@@ -217,14 +218,20 @@ class _Master:
         uid = self.next_uid
         self.next_uid += 1
         task_queue = self.ctx.Queue()
+        # One result pipe per incarnation, like the task queue: a worker
+        # killed mid-send can then only break its own channel, never
+        # leave a lock held that every other worker would block on.
+        results, sender = self.ctx.Pipe(duplex=False)
         proc = self.ctx.Process(
             target=worker_main,
-            args=(uid, task_queue, self.result_queue, self.check,
+            args=(uid, task_queue, sender, self.check,
                   self.heartbeat_interval),
             name=f"campaign-worker-{slot}", daemon=True)
         proc.start()
+        sender.close()      # the worker's copy is the only write end
         worker = _Worker(slot=slot, uid=uid, proc=proc,
-                         task_queue=task_queue, last_seen=time.monotonic())
+                         task_queue=task_queue, results=results,
+                         last_seen=time.monotonic())
         self.slots[slot] = worker
         self.by_uid[uid] = worker
         self.metrics.counter("campaign.workers_spawned").add()
@@ -244,6 +251,21 @@ class _Master:
         self.metrics.counter("campaign.workers_killed").add()
         self.emit("kill", slot=worker.slot, worker=worker.uid,
                   reason=reason)
+        self.close_channels(worker)
+
+    def close_channels(self, worker: _Worker) -> None:
+        """Retire a dead incarnation's channels.
+
+        Messages it finished sending are still handled first (a late
+        ``done`` is a correct result; the journal dedupes it). A message
+        cut short by the kill ends the pipe with EOF and is dropped.
+        """
+        try:
+            while worker.results.poll():
+                self.handle_message(worker.results.recv())
+        except (EOFError, OSError):
+            pass
+        worker.results.close()
         worker.task_queue.cancel_join_thread()
         worker.task_queue.close()
 
@@ -263,6 +285,7 @@ class _Master:
             if worker.proc.is_alive():       # pragma: no cover - stubborn
                 worker.proc.kill()
                 worker.proc.join(1)
+            worker.results.close()
             worker.task_queue.cancel_join_thread()
             worker.task_queue.close()
         self.metrics.gauge("campaign.workers_alive").set(0)
@@ -390,38 +413,51 @@ class _Master:
     # -- the loop --------------------------------------------------------
 
     def drain_results(self) -> None:
-        block = True
+        """Handle worker messages: wait up to one tick for the first, then
+        read whatever is ready until a tick has passed, so a flooding
+        worker cannot starve the liveness checks."""
+        channels = [worker.results for worker in self.slots.values()]
+        deadline = time.monotonic() + _POLL
+        timeout = _POLL
         while True:
-            try:
-                message = self.result_queue.get(
-                    timeout=_POLL if block else 0.0)
-            except queue_module.Empty:
+            ready = wait(channels, timeout)
+            if not ready:
                 return
-            block = False
-            kind, uid = message[0], message[1]
-            worker = self.by_uid.get(uid)
-            current = worker is not None and self.slots.get(
-                worker.slot) is worker
-            if worker is not None and current:
-                worker.last_seen = time.monotonic()
-            if kind in ("beat", "exiting"):
-                continue
-            if kind == "started":
-                continue
-            cell_id, attempt = message[2], message[3]
-            if kind == "done":
-                row, wall = message[4], message[5]
-                self.record_done(uid, cell_id, attempt, row, wall)
-                self.maybe_unleash_chaos()
-            elif kind == "failed":
-                if not (current and worker is not None and worker.assignment
-                        and worker.assignment[0].cell_id == cell_id):
-                    continue    # stale failure: already requeued as crash
-                error = message[4]
-                self.record_failure(worker.assignment[0], attempt, error)
-            if (current and worker is not None and worker.assignment
+            for conn in ready:
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # the incarnation is gone; check_liveness retires it
+                    channels.remove(conn)
+                    continue
+                self.handle_message(message)
+            if time.monotonic() >= deadline:
+                return
+            timeout = 0.0
+
+    def handle_message(self, message: tuple) -> None:
+        kind, uid = message[0], message[1]
+        worker = self.by_uid.get(uid)
+        current = worker is not None and self.slots.get(
+            worker.slot) is worker
+        if worker is not None and current:
+            worker.last_seen = time.monotonic()
+        if kind in ("beat", "exiting", "started"):
+            return
+        cell_id, attempt = message[2], message[3]
+        if kind == "done":
+            row, wall = message[4], message[5]
+            self.record_done(uid, cell_id, attempt, row, wall)
+            self.maybe_unleash_chaos()
+        elif kind == "failed":
+            if not (current and worker is not None and worker.assignment
                     and worker.assignment[0].cell_id == cell_id):
-                worker.assignment = None
+                return      # stale failure: already requeued as crash
+            error = message[4]
+            self.record_failure(worker.assignment[0], attempt, error)
+        if (current and worker is not None and worker.assignment
+                and worker.assignment[0].cell_id == cell_id):
+            worker.assignment = None
 
     def check_liveness(self) -> None:
         now = time.monotonic()
@@ -430,13 +466,13 @@ class _Master:
                 worker.proc.join(0)
                 self.metrics.counter("campaign.workers_crashed").add()
                 self.emit("crash", slot=slot, worker=worker.uid)
+                # what it sent before dying may settle its cell
+                self.close_channels(worker)
                 if worker.assignment is not None:
                     cell, attempt, _ = worker.assignment
                     worker.assignment = None
                     if not self.finished(cell.cell_id):
                         self.requeue_interrupted(cell, attempt, "crash")
-                worker.task_queue.cancel_join_thread()
-                worker.task_queue.close()
                 del self.slots[slot]
                 if self.work_remains():
                     self.spawn_worker(slot)

@@ -2,8 +2,8 @@
 
 Each worker is one OS process (spawned, so it holds no master state).
 It consumes task messages from its private queue, runs each cell with
-:func:`repro.campaign.cells.run_cell`, and reports on the shared result
-queue. A daemon heartbeat thread beats every ``heartbeat_interval``
+:func:`repro.campaign.cells.run_cell`, and reports on its private result
+pipe. A daemon heartbeat thread beats every ``heartbeat_interval``
 seconds even while a cell is running, so the master can tell a *slow*
 worker (beating, within its cell deadline) from a *wedged* one (no
 beats: swapped out, deadlocked, or SIGSTOPped) — the latter is killed
@@ -13,7 +13,11 @@ Workers ignore SIGINT: on Ctrl-C the whole foreground process group
 gets the signal, and shutdown must stay the master's decision so the
 journal is flushed and the resume command printed exactly once.
 
-Message protocol (tuples on the result queue, worker uid first):
+Both threads send through one in-process lock. Nothing is shared with
+other processes, so a SIGKILL that lands mid-send breaks this
+incarnation's pipe and no one else's.
+
+Message protocol (tuples on the result pipe, worker uid first):
 
 * ``("beat", uid)`` — liveness, also sent while a cell runs
 * ``("started", uid, cell_id, attempt)``
@@ -33,32 +37,40 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
 __all__ = ["worker_main"]
 
 
-def _heartbeat(result_queue: Any, uid: int, interval: float,
+def _heartbeat(send: Callable[[tuple], None], uid: int, interval: float,
                stop: threading.Event) -> None:
     while not stop.wait(interval):
         try:
-            result_queue.put(("beat", uid))
+            send(("beat", uid))
         except (OSError, ValueError):  # pragma: no cover - master gone
             return
 
 
-def worker_main(uid: int, task_queue: Any, result_queue: Any,
+def worker_main(uid: int, task_queue: Any, results: Any,
                 check: bool = False,
                 heartbeat_interval: float = 0.5) -> None:
-    """Entry point of one worker process (see module doc)."""
+    """Entry point of one worker process (see module doc).
+
+    *results* is the write end of this incarnation's result pipe.
+    """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:  # pragma: no cover - non-main thread (tests)
         pass
+    lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with lock:
+            results.send(message)
+
     stop = threading.Event()
     beat = threading.Thread(target=_heartbeat, daemon=True,
-                            args=(result_queue, uid, heartbeat_interval,
-                                  stop))
+                            args=(send, uid, heartbeat_interval, stop))
     beat.start()
     # imported here so a worker that dies on import still reports cleanly
     from .cells import run_cell
@@ -67,11 +79,11 @@ def worker_main(uid: int, task_queue: Any, result_queue: Any,
         while True:
             message = task_queue.get()
             if message is None:
-                result_queue.put(("exiting", uid))
+                send(("exiting", uid))
                 return
             cell = Cell.from_json(message["cell"])
             attempt = int(message["attempt"])
-            result_queue.put(("started", uid, cell.cell_id, attempt))
+            send(("started", uid, cell.cell_id, attempt))
             hang = float(message.get("hang") or 0.0)
             if hang > 0:
                 time.sleep(hang)    # chaos: wedge until the master kills us
@@ -79,10 +91,10 @@ def worker_main(uid: int, task_queue: Any, result_queue: Any,
             try:
                 row = run_cell(cell, check=check)
             except Exception as exc:
-                result_queue.put(("failed", uid, cell.cell_id, attempt,
-                                  f"{type(exc).__name__}: {exc}"))
+                send(("failed", uid, cell.cell_id, attempt,
+                      f"{type(exc).__name__}: {exc}"))
             else:
-                result_queue.put(("done", uid, cell.cell_id, attempt, row,
-                                  time.monotonic() - begun))
+                send(("done", uid, cell.cell_id, attempt, row,
+                      time.monotonic() - begun))
     finally:
         stop.set()

@@ -23,25 +23,27 @@ class _RegionState:
 
     ``writers`` is the current write frontier: a single ordinary writer, or
     an open *concurrent group* (several tasks that may run simultaneously);
-    ``readers`` are the in-accesses since that frontier. A ``__slots__``
-    class: one is allocated per gap-fill and per segment split in the
-    hottest registration path.
+    ``readers`` are the in-accesses since that frontier — the shared empty
+    ``()`` until the first reader, since most segments never get one. A
+    ``__slots__`` class: one is allocated per gap-fill and per segment
+    split in the hottest registration path.
     """
 
     __slots__ = ("writers", "concurrent_group", "readers")
 
     def __init__(self, writers: Optional[list[Task]] = None,
                  concurrent_group: bool = False,
-                 readers: Optional[list[Task]] = None) -> None:
+                 readers: list[Task] | tuple[()] = ()) -> None:
         self.writers = writers if writers is not None else []
         #: True while ``writers`` is an open concurrent group
         self.concurrent_group = concurrent_group
-        self.readers = readers if readers is not None else []
+        self.readers = readers
 
     def clone(self) -> "_RegionState":
         """Segment-split hook for :class:`IntervalMap`."""
+        readers = self.readers
         return _RegionState(list(self.writers), self.concurrent_group,
-                            list(self.readers))
+                            list(readers) if readers else ())
 
 
 class DependencyTracker:
@@ -72,7 +74,10 @@ class DependencyTracker:
                     state = _RegionState()
                 if mode == AccessType.IN:
                     predecessors.update(state.writers)
-                    state.readers.append(task)
+                    if state.readers:
+                        state.readers.append(task)
+                    else:
+                        state.readers = [task]
                 elif mode == AccessType.CONCURRENT:
                     # Ordered against readers and any ordinary writer, but
                     # joins (not replaces) an open concurrent group.
@@ -83,7 +88,7 @@ class DependencyTracker:
                         predecessors.update(state.writers)
                         state.writers = [task]
                         state.concurrent_group = True
-                    state.readers = []
+                    state.readers = ()
                 else:
                     # OUT / INOUT / COMMUTATIVE close any open group and
                     # become the sole write frontier. COMMUTATIVE thereby
@@ -93,7 +98,7 @@ class DependencyTracker:
                     predecessors.update(state.readers)
                     state.writers = [task]
                     state.concurrent_group = False
-                    state.readers = []
+                    state.readers = ()
                 return state
 
             self._map.apply(access.start, access.end, update)
@@ -104,7 +109,10 @@ class DependencyTracker:
             task.pred_ids = tuple(sorted(p.task_id for p in live))
         task.pending_predecessors = len(live)
         for pred in live:
-            pred.successors.append(task)
+            if pred.successors:
+                pred.successors.append(task)
+            else:
+                pred.successors = [task]
         self.tasks_registered += 1
         self.edges_created += len(live)
         if task.pending_predecessors == 0:
@@ -121,7 +129,7 @@ class DependencyTracker:
                 raise DependencyError(f"{succ!r} predecessor count underflow")
             if succ.pending_predecessors == 0:
                 released.append(succ)
-        task.successors = []
+        task.successors = ()
         for succ in released:
             self._make_ready(succ)
         return released

@@ -21,6 +21,7 @@ Offloading is final: once assigned, a task is never migrated.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from ..cluster.network import NetworkModel
@@ -317,6 +318,7 @@ class AppRankScheduler:
         worker = self.workers[node_id]
         task.state = TaskState.ASSIGNED
         task.assigned_node = node_id
+        task._place_cache = None      # only a queued task is placed again
         worker.notify_assigned()
         if node_id == self.home_node:
             self.tasks_kept_home += 1
@@ -348,8 +350,7 @@ class AppRankScheduler:
         else:
             task.state = TaskState.TRANSFERRING
             sim = self.sim
-            sim.schedule(delay,
-                         lambda: self._deliver(task, worker, None),
+            sim.schedule(delay, partial(self._deliver, task, worker, None),
                          label=(f"task-dispatch:{task.task_id}"
                                 if sim.labels else ""))
 
@@ -406,9 +407,12 @@ class AppRankScheduler:
             else:
                 task.state = TaskState.TRANSFERRING
                 sim = self.sim
+                # A partial, not a closure over ``dispatch``: the Event
+                # is stored in ``dispatch.delivery``, and a closure would
+                # make the pair a cycle only the cyclic GC can free.
                 dispatch.delivery = sim.schedule(
-                    delay,
-                    lambda: self._deliver(task, dispatch.worker, sent_at),
+                    delay, partial(self._deliver, task, dispatch.worker,
+                                   sent_at),
                     label=(f"task-dispatch:{task.task_id}"
                            if sim.labels else ""))
             return

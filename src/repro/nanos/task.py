@@ -122,7 +122,11 @@ class Task:
 
     # Dependency bookkeeping (owned by the dependency system):
     pending_predecessors: int = 0
-    successors: list["Task"] = field(default_factory=list)
+    #: tasks waiting on this one: the shared empty ``()`` until the first
+    #: successor registers (then a list), and ``()`` again once
+    #: ``notify_finished`` has released them — a finished task stays
+    #: referenced from the dependency frontier, so it must not keep lists
+    successors: list[Task] | tuple[()] = ()
 
     # Placement (owned by the scheduler/worker):
     assigned_node: Optional[int] = None
@@ -140,7 +144,8 @@ class Task:
 
     # Lazily-filled caches over the immutable ``accesses`` tuple: the
     # scheduler and directory read ``inputs``/``input_bytes`` on every
-    # placement decision and dispatch.
+    # placement decision and dispatch. A filter that keeps every access
+    # caches ``accesses`` itself rather than an equal copy.
     _inputs: Optional[tuple[DataAccess, ...]] = field(
         default=None, init=False, repr=False, compare=False)
     _outputs: Optional[tuple[DataAccess, ...]] = field(
@@ -148,7 +153,9 @@ class Task:
     _input_bytes: Optional[int] = field(
         default=None, init=False, repr=False, compare=False)
     #: scheduler placement cache: (directory version, worker-key tuple,
-    #: candidate order) — see ``AppRankScheduler._place_fast``
+    #: candidate order) — see ``AppRankScheduler._place_fast``. Only a
+    #: task waiting in the spill queue needs it: ``_assign`` drops it, and
+    #: a recovered task that is placed again builds a fresh one
     _place_cache: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -181,16 +188,22 @@ class Task:
     def inputs(self) -> tuple[DataAccess, ...]:
         inputs = self._inputs
         if inputs is None:
-            inputs = self._inputs = tuple(
-                a for a in self.accesses if a.mode.reads)
+            accesses = self.accesses
+            inputs = tuple(a for a in accesses if a.mode.reads)
+            if len(inputs) == len(accesses):
+                inputs = accesses
+            self._inputs = inputs
         return inputs
 
     @property
     def outputs(self) -> tuple[DataAccess, ...]:
         outputs = self._outputs
         if outputs is None:
-            outputs = self._outputs = tuple(
-                a for a in self.accesses if a.mode.writes)
+            accesses = self.accesses
+            outputs = tuple(a for a in accesses if a.mode.writes)
+            if len(outputs) == len(accesses):
+                outputs = accesses
+            self._outputs = outputs
         return outputs
 
     @property

@@ -8,11 +8,14 @@ tiny so the cells themselves are sub-second.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.campaign import (JOURNAL_NAME, RESULTS_NAME, CampaignGrid,
                             ChaosPlan, run_campaign)
+from repro.campaign.journal import CampaignJournal
+from repro.campaign.master import _Master
 from repro.errors import CampaignError
 
 SMOKE = "app=synthetic;scale=tiny;nodes=2;degree=1,2;imbalance=1.5,2.0;seed=0..1"
@@ -151,6 +154,44 @@ class TestChaos:
         assert counters.get("campaign.workers_crashed", 0) >= 1
         assert (counters.get("campaign.workers_spawned", 0)
                 > min(2, len(grid.cells())))
+
+
+class TestResultChannels:
+    def test_kill_mid_send_spares_other_workers(self, tmp_path):
+        """A SIGKILL landing while a worker sends must not block the rest.
+
+        The victim heartbeats in a tight loop, so the kill lands mid-send;
+        the survivor's ``done`` must still reach the master.
+        """
+        grid = CampaignGrid.parse("app=synthetic;scale=tiny;nodes=2;seed=0")
+        master = _Master(grid=grid, out_dir=tmp_path, workers=2,
+                         cell_timeout=60.0, heartbeat_interval=0.0,
+                         heartbeat_timeout=60.0, max_failures=3,
+                         max_requeues=10, backoff_base=0.05, check=False,
+                         chaos=None, progress=None)
+        journal = master.journal = CampaignJournal.open(
+            tmp_path / JOURNAL_NAME, grid.fingerprint(), grid.spec)
+        deadline = time.monotonic() + 60.0
+        try:
+            victim = master.spawn_worker(0)
+            master.heartbeat_interval = 0.5
+            survivor = master.spawn_worker(1)
+            spawned = victim.last_seen
+            while victim.last_seen == spawned:
+                assert time.monotonic() < deadline, "victim never beat"
+                master.drain_results()
+            master.kill_worker(victim, "heartbeat-lost")
+            del master.slots[victim.slot]
+            cell = grid.cells()[0]
+            survivor.assignment = (cell, 1, time.monotonic())
+            survivor.task_queue.put({"cell": cell.to_json(), "attempt": 1})
+            while cell.cell_id not in journal.done:
+                assert time.monotonic() < deadline, "survivor's done lost"
+                master.drain_results()
+            assert survivor.assignment is None
+        finally:
+            master.shutdown_workers(graceful=False)
+            journal.close()
 
 
 class TestValidation:
