@@ -11,19 +11,18 @@ state machine used by both modules:
   transfer at their current task's completion (malleability happens at task
   boundaries in OmpSs-2/OpenMP).
 
-Workers register with a small duck-typed interface: ``key``,
-``has_ready()`` and ``start_next_on(core)``.
+Workers register with a small duck-typed interface (:class:`WorkerPort`):
+``key``, ``has_ready()``, ``ready_count()`` and ``start_next_on(core)``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Collection, Optional, Protocol
 
 from ..cluster.node import Core, Node, WorkerKey
 from ..errors import DlbError
 from ..policies import (EagerLend, LendPolicy, OwnerFirstReclaim,
                         ReclaimPolicy)
-from ..policies.lewi import CandidateView, CoreGrantView, LendView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observability
@@ -41,9 +40,65 @@ class WorkerPort(Protocol):
         """Whether the worker has a runnable task waiting for a core."""
         ...
 
+    def ready_count(self) -> int:
+        """Ready backlog size (the borrow-prioritisation signal)."""
+        ...
+
     def start_next_on(self, core: Core) -> bool:
         """Start the next ready task on *core*; False if nothing started."""
         ...
+
+
+class _LendView:
+    """The :class:`~repro.policies.LendView` of one arbiter.
+
+    Built once over the arbiter's live ``workers`` dict; the arbiter
+    re-points ``worker_key``/``idle_owned_cores`` at each voluntary lend.
+    """
+
+    __slots__ = ("node_id", "worker_key", "idle_owned_cores", "_workers")
+
+    def __init__(self, node_id: int,
+                 workers: dict[WorkerKey, WorkerPort]) -> None:
+        self.node_id = node_id
+        self.worker_key: WorkerKey = None
+        self.idle_owned_cores = 0
+        self._workers = workers
+
+    @property
+    def backlog(self) -> int:
+        worker = self._workers.get(self.worker_key)
+        return 0 if worker is None else worker.ready_count()
+
+
+class _GrantView:
+    """The :class:`~repro.policies.CoreGrantView` of one arbiter.
+
+    Built once over the arbiter's live ``workers`` dict; the arbiter
+    re-points ``core_index``/``owner``/``releaser`` at each release.
+    """
+
+    __slots__ = ("node_id", "core_index", "owner", "releaser", "_workers")
+
+    def __init__(self, node_id: int,
+                 workers: dict[WorkerKey, WorkerPort]) -> None:
+        self.node_id = node_id
+        self.core_index = -1
+        self.owner: Optional[WorkerKey] = None
+        self.releaser: WorkerKey = None
+        self._workers = workers
+
+    @property
+    def keys(self) -> Collection[WorkerKey]:
+        return self._workers.keys()
+
+    def has_ready(self, key: WorkerKey) -> bool:
+        worker = self._workers.get(key)
+        return worker is not None and worker.has_ready()
+
+    def backlog(self, key: WorkerKey) -> int:
+        worker = self._workers.get(key)
+        return 0 if worker is None else worker.ready_count()
 
 
 class NodeArbiter:
@@ -65,6 +120,9 @@ class NodeArbiter:
         self.lend_policy: LendPolicy = lend_policy or EagerLend()
         self.reclaim_policy: ReclaimPolicy = reclaim_policy or OwnerFirstReclaim()
         self.workers: dict[WorkerKey, WorkerPort] = {}
+        #: the read-only views every lend / grant decision is handed
+        self._lend = _LendView(node.node_id, self.workers)
+        self._grant = _GrantView(node.node_id, self.workers)
         #: set by :meth:`fail_node` — a failed node's cores never run again
         self.dead = False
         # LeWI statistics (used by tests and by the DLB facade objects)
@@ -262,18 +320,10 @@ class NodeArbiter:
                 and not lent_col[i]]
         if not idle:
             return 0
-        if type(self.lend_policy) is EagerLend:
-            # EagerLend lends every idle core unconditionally; skip the
-            # view snapshot (and its backlog probe) on the default path.
-            decided = len(idle)
-        else:
-            worker = self.workers.get(worker_key)
-            view = LendView(node_id=self.node.node_id, worker_key=worker_key,
-                            idle_owned_cores=len(idle),
-                            backlog=self._backlog(worker) if worker is not None
-                            else 0)
-            decided = self.lend_policy.lend_count(view)
-        lent = max(0, min(decided, len(idle)))
+        view = self._lend
+        view.worker_key = worker_key
+        view.idle_owned_cores = len(idle)
+        lent = max(0, min(self.lend_policy.lend_count(view), len(idle)))
         for i in idle[:lent]:
             lent_col[i] = True
         self.lends += lent
@@ -306,22 +356,20 @@ class NodeArbiter:
         moved = core.apply_pending_owner()
         if moved:
             self.cores_moved += 1
-        if (self.obs is None and self.validator is None
-                and type(self.reclaim_policy) is OwnerFirstReclaim
-                and type(self.lend_policy) is EagerLend):
-            self._release_core_fast(core, worker_key)
-            return
-        view = self._grant_view(core, worker_key)
-        order = self.reclaim_policy.grant_order(view)
+        owner = core.owner
+        view = self._grant
+        view.core_index = core.index
+        view.owner = owner
+        view.releaser = worker_key
         offered: set[WorkerKey] = set()
-        for key in order:
+        for key in self.reclaim_policy.grant_order(view):
             if key in offered:
                 continue
             offered.add(key)
             worker = self.workers.get(key)
             if worker is None:
                 continue
-            is_owner = key == core.owner
+            is_owner = key == owner
             if not is_owner and not self.lewi_enabled:
                 continue
             if not worker.has_ready():
@@ -330,7 +378,7 @@ class NodeArbiter:
                 if key != worker_key:
                     self.reclaims += 1
                     if self.obs is not None:
-                        self.obs.lewi_reclaim(self.node.node_id, core.owner)
+                        self.obs.lewi_reclaim(self.node.node_id, owner)
                 core.lent = False
             else:
                 self.borrows += 1
@@ -339,74 +387,14 @@ class NodeArbiter:
             if worker.start_next_on(core):
                 return
         # Nobody can use it: idle. Lend it if the lend policy says so.
-        core.lent = self.lewi_enabled and self.lend_policy.lend_released(view)
-        if core.lent:
+        lend = self.lewi_enabled and self.lend_policy.lend_released(view)
+        core.lent = lend
+        if lend:
             self.lends += 1
-            if self.obs is not None and core.owner is not None:
-                self.obs.lewi_lend(self.node.node_id, core.owner, 1)
+            if self.obs is not None and owner is not None:
+                self.obs.lewi_lend(self.node.node_id, owner, 1)
         if self.validator is not None:
             self.validator.check_node(self)
-
-    def _release_core_fast(self, core: Core, worker_key: WorkerKey) -> None:
-        """Default-policy release: OwnerFirstReclaim order and EagerLend's
-        release rule inlined, with no view snapshots.
-
-        Must stay decision-for-decision identical to the general path
-        under the default policies: owner → releaser → others by
-        ``(-backlog, key)``, counters bumped before the start attempt,
-        non-owners eligible only with LeWI. The final lend decision is
-        EagerLend's "lend unless the owner has ready work" — reaching the
-        idle branch means the owner grant above found nothing ready (or no
-        registered owner), so with LeWI enabled the core is always lent.
-        """
-        workers = self.workers
-        owner_key = core.owner
-        lewi = self.lewi_enabled
-        if owner_key is not None:
-            owner = workers.get(owner_key)
-            if owner is not None and owner.has_ready():
-                if owner_key != worker_key:
-                    self.reclaims += 1
-                core.lent = False
-                if owner.start_next_on(core):
-                    return
-        if lewi:
-            if worker_key != owner_key:
-                releaser = workers.get(worker_key)
-                if releaser is not None and releaser.has_ready():
-                    self.borrows += 1
-                    if releaser.start_next_on(core):
-                        return
-            others = [(key, worker) for key, worker in workers.items()
-                      if key != owner_key and key != worker_key]
-            if len(others) > 1:
-                others.sort(key=lambda kw: (-self._backlog(kw[1]), kw[0]))
-            for key, worker in others:
-                if not worker.has_ready():
-                    continue
-                self.borrows += 1
-                if worker.start_next_on(core):
-                    return
-            core.lent = True
-            self.lends += 1
-        else:
-            core.lent = False
-
-    def _grant_view(self, core: Core, worker_key: WorkerKey) -> CoreGrantView:
-        """Immutable snapshot of one released-core decision."""
-        candidates = tuple(
-            CandidateView(key=key, has_ready=worker.has_ready(),
-                          backlog=self._backlog(worker),
-                          is_owner=key == core.owner,
-                          is_releaser=key == worker_key)
-            for key, worker in self.workers.items())
-        return CoreGrantView(node_id=self.node.node_id, core_index=core.index,
-                             owner=core.owner, releaser=worker_key,
-                             candidates=candidates)
-
-    @staticmethod
-    def _backlog(worker: WorkerPort) -> int:
-        return getattr(worker, "ready_count", lambda: 1 if worker.has_ready() else 0)()
 
     # -- DROM: ownership reassignment -------------------------------------
 

@@ -3,8 +3,6 @@
 from .bipartite import BipartiteGraph, appranks_per_node_of, home_node_of
 from .biregular import check_feasible, grouped_biregular, random_biregular
 from .cache import GraphCache, default_cache_dir, generate_graph, get_graph
-from .interop import (algebraic_connectivity, diameter, is_connected,
-                      to_networkx)
 from .expansion import (biadjacency, is_good_expander, spectral_gap,
                         vertex_isoperimetric_number)
 from .placement import Placement, WorkerKey, build_placement
@@ -21,10 +19,6 @@ __all__ = [
     "spectral_gap",
     "is_good_expander",
     "biadjacency",
-    "to_networkx",
-    "is_connected",
-    "diameter",
-    "algebraic_connectivity",
     "circulant_graph",
     "search_best_graph",
     "GraphCache",

@@ -125,8 +125,7 @@ class DataDirectory:
 
         Equivalent to ``{n: bytes_present_at(accesses, n) for n in
         node_ids}`` but walks the interval map once instead of once per
-        node — the placement fast path scores all adjacent nodes per
-        ready task.
+        node — placement scores all adjacent nodes per ready task.
         """
         totals = dict.fromkeys(node_ids, 0)
         home = self.home_node

@@ -4,7 +4,7 @@ The scheduler owns the *mechanism*: the spill queue, dispatch/ack/resend
 machinery, data movement and bookkeeping. *Where* a ready task runs is
 delegated to an :class:`~repro.policies.OffloadPolicy` (selected by
 ``RuntimeConfig.offload_policy``, default ``"tentative"`` — the paper's
-§5.5 rule) consulted through immutable snapshot views:
+§5.5 rule) consulted through read-only views of the live worker state:
 
 1. the policy sees each adjacent node's liveness, owned cores, active
    tasks and resident input bytes, and answers with a node, ``KEEP``
@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, Optional
 from ..cluster.network import NetworkModel
 from ..errors import PolicyError, SchedulerError, TaskLostError
 from ..policies import (KEEP, OFFLOAD_POLICIES, QUEUE, NodeView,
-                        OffloadPolicy, SchedulerView, TaskView)
-from ..policies.offload import TentativeImmediateOffload
+                        OffloadPolicy, locality_order)
 from ..sim.engine import Simulator
 from .locality import DataDirectory
 from .task import Task, TaskState
@@ -64,6 +63,84 @@ class _OffloadDispatch:
         self.first_sent = 0.0
 
 
+class _LiveView:
+    """The :class:`~repro.policies.SchedulerView` of one scheduler.
+
+    Built once per scheduler over its live ``workers`` dict: per-node
+    queries read current state, so no decision pays for a snapshot.
+    ``task`` is the task being placed (None for ``drain_order``); it
+    only feeds :attr:`NodeView.bytes_present`.
+    """
+
+    __slots__ = ("apprank", "home_node", "tasks_per_core", "task",
+                 "_workers", "_directory")
+
+    def __init__(self, scheduler: "AppRankScheduler") -> None:
+        self.apprank = scheduler.apprank
+        self.home_node = scheduler.home_node
+        self.tasks_per_core = scheduler.config.tasks_per_core
+        self.task: Optional[Task] = None
+        self._workers = scheduler.workers
+        self._directory = scheduler.directory
+
+    def alive(self, node_id: int) -> bool:
+        return self._workers[node_id].alive
+
+    def load_ratio(self, node_id: int) -> float:
+        worker = self._workers[node_id]
+        # arbiter.owned_count inlined to its dict read: this is the
+        # per-candidate query of every placement.
+        owned = worker.arbiter.node.cols.owned_counts.get(worker.key, 0)
+        return ((worker.assigned - worker.blocked_bodies)
+                / (owned if owned > 0 else 1))
+
+    def node(self, node_id: int) -> NodeView:
+        return self._node_views((node_id,))[0]
+
+    @property
+    def nodes(self) -> tuple[NodeView, ...]:
+        return self._node_views(tuple(self._workers))
+
+    def _node_views(self, node_ids: tuple[int, ...]) -> tuple[NodeView, ...]:
+        workers = [self._workers[n] for n in node_ids]  # KeyError if absent
+        task = self.task
+        present = (self._directory.present_bytes_for(task.inputs, node_ids)
+                   if task is not None and task.inputs else None)
+        return tuple(
+            NodeView(node_id=node_id, alive=worker.alive,
+                     owned_cores=worker.arbiter.owned_count(worker.key),
+                     active_tasks=worker.assigned - worker.blocked_bodies,
+                     bytes_present=present[node_id] if present is not None
+                     else 0)
+            for node_id, worker in zip(node_ids, workers))
+
+
+class _TaskHandle:
+    """The :class:`~repro.policies.TaskView` of one task for one call.
+
+    ``choose_worker`` gets the scheduler's one handle, re-pointed at each
+    placement; ``drain_order`` gets one handle per queued task.
+    """
+
+    __slots__ = ("task", "_scheduler")
+
+    def __init__(self, scheduler: "AppRankScheduler",
+                 task: Optional[Task] = None) -> None:
+        self.task = task
+        self._scheduler = scheduler
+
+    @property
+    def task_id(self) -> int:
+        return self.task.task_id
+
+    @property
+    def input_bytes(self) -> int:
+        return self.task.input_bytes
+
+    def by_locality(self) -> tuple[int, ...]:
+        return self._scheduler.locality_order(self.task)
+
+
 class AppRankScheduler:
     """Placement mechanism for one apprank's ready tasks."""
 
@@ -96,8 +173,11 @@ class AppRankScheduler:
         self._dispatches: dict[Task, _OffloadDispatch] = {}
         self.offload_resends = 0
         #: cached placement order for input-less tasks (invalidated when
-        #: the worker set changes); see :meth:`_no_input_order`
+        #: the worker set changes); see :meth:`locality_order`
         self._zero_order: Optional[tuple] = None
+        #: the one read-only view every policy call is handed
+        self.view = _LiveView(self)
+        self._handle = _TaskHandle(self)
 
     # -- entry points -------------------------------------------------------
 
@@ -144,12 +224,12 @@ class AppRankScheduler:
         items = list(self.queue)
         if type(self.policy).drain_order is OffloadPolicy.drain_order:
             # The base-class order is the identity (FIFO): skip building
-            # the task/scheduler views the policy would ignore.
+            # the task handles the policy would ignore.
             order = range(len(items))
         else:
-            task_views = tuple(self._task_view(t) for t in items)
-            order = list(self.policy.drain_order(task_views,
-                                                 self.scheduler_view(None)))
+            self.view.task = None
+            order = list(self.policy.drain_order(
+                tuple(_TaskHandle(self, t) for t in items), self.view))
             if sorted(order) != list(range(len(items))):
                 raise PolicyError(
                     f"{self.policy.name!r}.drain_order returned {order!r}, not "
@@ -197,39 +277,11 @@ class AppRankScheduler:
 
     # -- policy consultation -------------------------------------------------
 
-    def scheduler_view(self, task: Optional[Task]) -> SchedulerView:
-        """Immutable placement snapshot for one decision.
-
-        With *task*, each node view carries the bytes of the task's
-        inputs resident there; without, byte counts are zero (the
-        task-agnostic view handed to ``drain_order``).
-        """
-        inputs = task.inputs if task is not None else ()
-        present = (self.directory.present_bytes_for(inputs, self.workers.keys())
-                   if inputs else None)
-        nodes = []
-        for node_id, worker in self.workers.items():
-            nodes.append(NodeView(
-                node_id=node_id,
-                alive=worker.alive,
-                owned_cores=worker.arbiter.owned_count(worker.key),
-                active_tasks=worker.assigned - worker.blocked_bodies,
-                bytes_present=present[node_id] if present is not None else 0))
-        return SchedulerView(apprank=self.apprank, home_node=self.home_node,
-                             tasks_per_core=self.config.tasks_per_core,
-                             nodes=tuple(nodes))
-
-    @staticmethod
-    def _task_view(task: Task) -> TaskView:
-        return TaskView(task_id=task.task_id, input_bytes=task.input_bytes)
-
     def _place(self, task: Task, drained: bool = False) -> Optional[int]:
         """Ask the policy; validate; return a node id or None (= spill)."""
-        if (self.obs is None and self.validator is None
-                and type(self.policy) is TentativeImmediateOffload):
-            return self._place_fast(task)
-        view = self.scheduler_view(task)
-        decision = self.policy.choose_worker(self._task_view(task), view)
+        view, handle = self.view, self._handle
+        view.task = handle.task = task
+        decision = self.policy.choose_worker(handle, view)
         if decision is QUEUE:
             if self.obs is not None and not drained:
                 self.obs.policy_decision(self.policy.name, "queue")
@@ -244,8 +296,7 @@ class AppRankScheduler:
                 f"policy {self.policy.name!r} chose dead node {node_id} "
                 f"for {task!r}")
         if self.validator is not None:
-            chosen = next(nv for nv in view.nodes if nv.node_id == node_id)
-            self.validator.placement_decided(task, chosen,
+            self.validator.placement_decided(task, view.node(node_id),
                                              view.tasks_per_core,
                                              self.policy.name)
         if self.obs is not None:
@@ -254,61 +305,32 @@ class AppRankScheduler:
                 self.policy.name, f"drained-{outcome}" if drained else outcome)
         return node_id
 
-    def _place_fast(self, task: Task) -> Optional[int]:
-        """Inlined §5.5 tentative placement (the default policy).
+    def locality_order(self, task: Task) -> tuple[int, ...]:
+        """Adjacent node ids in §5.5 order for *task*
+        (:func:`~repro.policies.locality_order` of its resident bytes).
 
-        Semantically identical to routing through
-        :class:`~repro.policies.offload.TentativeImmediateOffload` over a
-        :meth:`scheduler_view` snapshot — same locality order, same load
-        bound, same tie-breaks — but without constructing the per-decision
-        view dataclasses. Only taken when no observer or validator needs
-        the snapshot.
+        The order only changes when the directory or the worker set
+        does, while a spilled task is re-placed on every task completion:
+        so it is cached per task, keyed on both (node ids only — workers
+        are re-fetched at use time, so a replaced worker object can never
+        be served stale). Input-less tasks share one order.
         """
-        workers = self.workers
-        inputs = task.inputs
-        if inputs:
-            # The locality order only changes when the directory or the
-            # worker set does; spilled tasks are re-placed on every task
-            # completion, so cache the sorted order per task and key it on
-            # both (node ids only — workers are re-fetched at use time, so
-            # a replaced worker object can never be served stale).
-            keys = tuple(workers)
-            version = self.directory.version
-            cached = task._place_cache
-            if (cached is not None and cached[0] == version
-                    and cached[1] == keys):
-                order = cached[2]
-            else:
-                home = self.home_node
-                present = self.directory.present_bytes_for(inputs, keys)
-                order = sorted([(-present[node_id], node_id != home, node_id)
-                                for node_id in keys])
-                task._place_cache = (version, keys, order)
-        else:
-            order = self._no_input_order()
-        tasks_per_core = self.config.tasks_per_core
-        for _neg_bytes, _away, node_id in order:
-            worker = workers[node_id]
-            if not worker.alive:
-                continue
-            # arbiter.owned_count inlined to its dict read: this loop runs
-            # per candidate node per placement, the hottest query in the
-            # scheduler (owned_counts is maintained by Core ownership moves).
-            owned = worker.arbiter.node.cols.owned_counts.get(worker.key, 0)
-            active = worker.assigned - worker.blocked_bodies
-            if active / (owned if owned > 0 else 1) < tasks_per_core:
-                return node_id
-        return None
-
-    def _no_input_order(self) -> list[tuple[int, bool, int]]:
-        """Placement order for input-less tasks (all locality scores 0)."""
-        cached = self._zero_order
         keys = tuple(self.workers)
-        if cached is None or cached[0] != keys:
-            home = self.home_node
-            order = sorted((0, node_id != home, node_id) for node_id in keys)
-            self._zero_order = cached = (keys, order)
-        return cached[1]
+        inputs = task.inputs
+        if not inputs:
+            cached = self._zero_order
+            if cached is None or cached[0] != keys:
+                self._zero_order = cached = (
+                    keys, locality_order(dict.fromkeys(keys, 0),
+                                         self.home_node))
+            return cached[1]
+        version = self.directory.version
+        cached = task._place_cache
+        if cached is None or cached[0] != version or cached[1] != keys:
+            present = self.directory.present_bytes_for(inputs, keys)
+            task._place_cache = cached = (
+                version, keys, locality_order(present, self.home_node))
+        return cached[2]
 
     # -- binding and data movement -------------------------------------------
 

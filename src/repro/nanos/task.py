@@ -153,7 +153,8 @@ class Task:
     _input_bytes: Optional[int] = field(
         default=None, init=False, repr=False, compare=False)
     #: scheduler placement cache: (directory version, worker-key tuple,
-    #: candidate order) — see ``AppRankScheduler._place_fast``. Only a
+    #: node ids in locality order) — see
+    #: ``AppRankScheduler.locality_order``. Only a
     #: task waiting in the spill queue needs it: ``_assign`` drops it, and
     #: a recovered task that is placed again builds a fresh one
     _place_cache: Optional[tuple] = field(

@@ -3,8 +3,8 @@
 The paper's transparent load balancing composes independent decision
 layers (§5.5 offload scheduling, §5.3 LeWI arbitration, §5.4 DROM
 reallocation). This package extracts each decision from its mechanism
-into a pure strategy behind an immutable snapshot view, keyed by name in
-four registries:
+into a pure strategy consulted through read-only views of the
+mechanism's live state, keyed by name in four registries:
 
 * :data:`OFFLOAD_POLICIES` — where a ready task runs
   (:class:`OffloadPolicy`; ``RuntimeConfig.offload_policy``/``--policy``)
@@ -27,10 +27,10 @@ from __future__ import annotations
 from typing import Any
 
 from .base import (KEEP, QUEUE, Decision, NodeView, OffloadPolicy,
-                   SchedulerView, TaskView)
-from .lewi import (CandidateView, CoreGrantView, EagerLend, HoardLend,
-                   LendPolicy, LendView, OwnerFirstReclaim, ReclaimPolicy,
-                   ReleaserFirstReclaim, ReserveOneLend)
+                   SchedulerView, TaskView, locality_order)
+from .lewi import (CoreGrantView, EagerLend, HoardLend, LendPolicy, LendView,
+                   OwnerFirstReclaim, ReclaimPolicy, ReleaserFirstReclaim,
+                   ReserveOneLend)
 from .offload import (BoundedWorkSharingOffload, LocalityWeightedOffload,
                       TentativeImmediateOffload)
 from .reallocation import (AllocationView, ClusterReallocationPolicy,
@@ -46,12 +46,12 @@ __all__ = [
     "TaskView",
     "NodeView",
     "SchedulerView",
+    "locality_order",
     "OffloadPolicy",
     "TentativeImmediateOffload",
     "LocalityWeightedOffload",
     "BoundedWorkSharingOffload",
     "LendView",
-    "CandidateView",
     "CoreGrantView",
     "LendPolicy",
     "ReclaimPolicy",

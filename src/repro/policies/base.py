@@ -3,11 +3,14 @@
 The scheduler in :mod:`repro.nanos.scheduler` is mechanism: it owns the
 spill queue, dispatch/ack/resend machinery and data movement. *Where* a
 ready task runs is decided by an :class:`OffloadPolicy` — a pure strategy
-consulted through immutable snapshot views. The purity contract:
+consulted through read-only views. The purity contract:
 
 * policies never see the :class:`~repro.sim.engine.Simulator`, workers,
-  or the data directory — only :class:`TaskView`/:class:`SchedulerView`
-  snapshots built by the mechanism for one decision;
+  or the data directory — only a :class:`TaskView` and a
+  :class:`SchedulerView`, protocols the mechanism implements over its
+  live state;
+* a view is valid for one call and must never be retained: it reads
+  live state, so a view kept past the call would see later decisions;
 * policies must not keep mutable state across calls that affects
   decisions (two identical views must yield identical decisions), which
   is what makes same-seed runs reproducible under every policy;
@@ -23,10 +26,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from operator import itemgetter
+from typing import ClassVar, Mapping, Protocol, Sequence, Union
 
 __all__ = ["KEEP", "QUEUE", "Decision", "TaskView", "NodeView",
-           "SchedulerView", "OffloadPolicy"]
+           "SchedulerView", "OffloadPolicy", "locality_order"]
 
 
 class _Sentinel:
@@ -51,14 +55,29 @@ QUEUE = _Sentinel("QUEUE")
 Decision = Union[int, _Sentinel]
 
 
-@dataclass(frozen=True)
-class TaskView:
+_NODE_ID = itemgetter(2)
+
+
+def locality_order(present: Mapping[int, int], home_node: int) -> tuple[int, ...]:
+    """Node ids of *present* (node id → resident input bytes) in §5.5
+    order: most bytes first, the home node winning ties, then node id."""
+    return tuple(map(_NODE_ID, sorted([(-present[n], n != home_node, n)
+                                       for n in present])))
+
+
+class TaskView(Protocol):
     """What a policy may know about one schedulable task."""
 
-    #: submission-order id (unique within the apprank)
-    task_id: int
-    #: total bytes of the task's read accesses (0 if it reads nothing)
-    input_bytes: int
+    @property
+    def task_id(self) -> int:
+        """Submission-order id (unique within the apprank)."""
+
+    @property
+    def input_bytes(self) -> int:
+        """Total bytes of the task's read accesses (0 if it reads nothing)."""
+
+    def by_locality(self) -> Sequence[int]:
+        """Adjacent node ids in §5.5 order (see :func:`locality_order`)."""
 
 
 @dataclass(frozen=True)
@@ -83,35 +102,38 @@ class NodeView:
         return self.active_tasks / max(self.owned_cores, 1)
 
 
-@dataclass(frozen=True)
-class SchedulerView:
-    """Immutable snapshot of one apprank's placement state.
+class SchedulerView(Protocol):
+    """Read-only view of one apprank's placement state.
 
-    Built by the mechanism for a single decision; policies must not hold
-    on to it across calls.
+    :meth:`alive` and :meth:`load_ratio` are O(1) reads of live state;
+    :meth:`node` and :attr:`nodes` build :class:`NodeView` values on
+    demand. Valid for one call; policies must not hold on to it.
     """
 
-    apprank: int
-    home_node: int
-    #: the §5.5 spill threshold (``RuntimeConfig.tasks_per_core``)
-    tasks_per_core: int
-    #: every graph-adjacent node, in worker-registration order
-    nodes: tuple[NodeView, ...]
+    @property
+    def apprank(self) -> int:
+        """The deciding apprank."""
+
+    @property
+    def home_node(self) -> int:
+        """The apprank's home node (what :data:`KEEP` means)."""
+
+    @property
+    def tasks_per_core(self) -> int:
+        """The §5.5 spill threshold (``RuntimeConfig.tasks_per_core``)."""
+
+    @property
+    def nodes(self) -> Sequence[NodeView]:
+        """Every graph-adjacent node, in worker-registration order."""
 
     def node(self, node_id: int) -> NodeView:
         """The view of one adjacent node (:class:`KeyError` if absent)."""
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
 
-    def by_locality(self) -> list[int]:
-        """Adjacent node ids in §5.5 order: most input bytes resident
-        first, the home node winning ties, then node id."""
-        return [n.node_id for n in sorted(
-            self.nodes,
-            key=lambda n: (-n.bytes_present, n.node_id != self.home_node,
-                           n.node_id))]
+    def alive(self, node_id: int) -> bool:
+        """``node(node_id).alive`` without building the view."""
+
+    def load_ratio(self, node_id: int) -> float:
+        """``node(node_id).load_ratio`` without building the view."""
 
 
 class OffloadPolicy(ABC):

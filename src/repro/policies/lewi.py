@@ -16,65 +16,72 @@ mechanism (owner taking back a borrower's core = reclaim, anything else
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, ClassVar, Hashable, Optional, Sequence
+from typing import (Any, ClassVar, Collection, Hashable, Iterable, Iterator,
+                    Optional, Protocol)
 
-__all__ = ["LendView", "CandidateView", "CoreGrantView", "LendPolicy",
-           "ReclaimPolicy", "EagerLend", "HoardLend", "ReserveOneLend",
-           "OwnerFirstReclaim", "ReleaserFirstReclaim"]
+__all__ = ["LendView", "CoreGrantView", "LendPolicy", "ReclaimPolicy",
+           "EagerLend", "HoardLend", "ReserveOneLend", "OwnerFirstReclaim",
+           "ReleaserFirstReclaim"]
 
 #: Worker identity as the arbiter knows it (``(apprank, node)`` tuples in
 #: the runtime; any sortable hashable in tests).
 WorkerKey = Hashable
 
 
-@dataclass(frozen=True)
-class LendView:
-    """Snapshot for one voluntary-lend decision (worker ran dry)."""
+class LendView(Protocol):
+    """One voluntary-lend decision (a worker ran dry); valid for one call."""
 
-    node_id: int
-    #: the worker offering to lend
-    worker_key: WorkerKey
-    #: its currently idle, owned, not-yet-lent cores
-    idle_owned_cores: int
-    #: its own ready backlog (normally 0 here — it just ran dry)
-    backlog: int
+    @property
+    def node_id(self) -> int:
+        """The node whose cores are offered."""
 
+    @property
+    def worker_key(self) -> WorkerKey:
+        """The worker offering to lend."""
 
-@dataclass(frozen=True)
-class CandidateView:
-    """One registered worker as seen when a core is released."""
+    @property
+    def idle_owned_cores(self) -> int:
+        """Its currently idle, owned, not-yet-lent cores."""
 
-    key: WorkerKey
-    #: has a runnable task or parked body awaiting a core
-    has_ready: bool
-    #: ready backlog size (borrow-prioritisation signal)
-    backlog: int
-    #: owns the released core
-    is_owner: bool
-    #: is the worker whose task just finished on the core
-    is_releaser: bool
+    @property
+    def backlog(self) -> int:
+        """Its own ready backlog (normally 0 here — it just ran dry);
+        read from live state on access."""
 
 
-@dataclass(frozen=True)
-class CoreGrantView:
-    """Snapshot for one released-core grant decision."""
+class CoreGrantView(Protocol):
+    """One released-core grant decision; valid for one call.
 
-    node_id: int
-    core_index: int
-    #: the core's owner key, or None if unowned/retired
-    owner: Optional[WorkerKey]
-    #: the worker releasing the core
-    releaser: WorkerKey
-    #: every registered worker on the node, in registration order
-    candidates: tuple[CandidateView, ...]
+    :meth:`has_ready` and :meth:`backlog` read live worker state, so a
+    policy pays only for the workers it asks about.
+    """
 
-    def owner_candidate(self) -> Optional[CandidateView]:
-        """The owner's candidate entry, or None if the owner is gone."""
-        for candidate in self.candidates:
-            if candidate.is_owner:
-                return candidate
-        return None
+    @property
+    def node_id(self) -> int:
+        """The node the core belongs to."""
+
+    @property
+    def core_index(self) -> int:
+        """The released core's index on its node."""
+
+    @property
+    def owner(self) -> Optional[WorkerKey]:
+        """The core's owner key, or None if unowned/retired."""
+
+    @property
+    def releaser(self) -> WorkerKey:
+        """The worker whose task just finished on the core."""
+
+    @property
+    def keys(self) -> Collection[WorkerKey]:
+        """Every registered worker on the node, in registration order."""
+
+    def has_ready(self, key: WorkerKey) -> bool:
+        """Whether *key* has a runnable task or parked body awaiting a
+        core (False for a key that is not registered)."""
+
+    def backlog(self, key: WorkerKey) -> int:
+        """*key*'s ready backlog (0 for a key that is not registered)."""
 
 
 class LendPolicy(ABC):
@@ -101,22 +108,24 @@ class ReclaimPolicy(ABC):
     name: ClassVar[str] = ""
 
     @abstractmethod
-    def grant_order(self, view: CoreGrantView) -> Sequence[WorkerKey]:
-        """Candidate worker keys, most-preferred first; the mechanism
-        tries each in turn (skipping ineligible ones) and stops at the
-        first that starts a task. Duplicates are ignored."""
+    def grant_order(self, view: CoreGrantView) -> Iterable[WorkerKey]:
+        """Candidate worker keys, most-preferred first.
+
+        The mechanism consumes the iterable lazily: it tries each key in
+        turn (skipping ineligible ones) and stops at the first that
+        starts a task, so a generator pays only for the candidates
+        actually reached. Duplicates are ignored."""
 
 
-def _others_by_backlog(view: CoreGrantView) -> list[WorkerKey]:
-    """Non-owner non-releaser candidates, busiest backlog first (the seed
-    arbiter's deterministic ``(-backlog, key)`` tie-break)."""
-    others = [c for c in view.candidates
-              if not c.is_owner and not c.is_releaser]
-    def sort_key(candidate: CandidateView) -> tuple[int, Any]:
-        return (-candidate.backlog, candidate.key)
+def _ranked_others(view: CoreGrantView) -> list[WorkerKey]:
+    """Workers other than the owner and the releaser, busiest backlog
+    first (the seed arbiter's deterministic ``(-backlog, key)`` order)."""
+    def sort_key(key: WorkerKey) -> tuple[int, Any]:
+        return (-view.backlog(key), key)
 
-    others.sort(key=sort_key)
-    return [c.key for c in others]
+    return sorted((key for key in view.keys
+                   if key != view.owner and key != view.releaser),
+                  key=sort_key)
 
 
 class EagerLend(LendPolicy):
@@ -132,8 +141,7 @@ class EagerLend(LendPolicy):
 
     def lend_released(self, view: CoreGrantView) -> bool:
         """Lend unless the owner (still registered) has ready work."""
-        owner = view.owner_candidate()
-        return owner is None or not owner.has_ready
+        return view.owner is None or not view.has_ready(view.owner)
 
 
 class HoardLend(LendPolicy):
@@ -163,8 +171,7 @@ class ReserveOneLend(LendPolicy):
 
     def lend_released(self, view: CoreGrantView) -> bool:
         """Same tail rule as :class:`EagerLend`."""
-        owner = view.owner_candidate()
-        return owner is None or not owner.has_ready
+        return view.owner is None or not view.has_ready(view.owner)
 
 
 class OwnerFirstReclaim(ReclaimPolicy):
@@ -174,15 +181,15 @@ class OwnerFirstReclaim(ReclaimPolicy):
 
     name = "owner-first"
 
-    def grant_order(self, view: CoreGrantView) -> Sequence[WorkerKey]:
-        """owner → releaser → others by ``(-backlog, key)``."""
-        order: list[WorkerKey] = []
-        if view.owner is not None:
-            order.append(view.owner)
-        if view.releaser != view.owner:
-            order.append(view.releaser)
-        order.extend(_others_by_backlog(view))
-        return order
+    def grant_order(self, view: CoreGrantView) -> Iterator[WorkerKey]:
+        """owner → releaser → others by ``(-backlog, key)``; the others
+        are ranked only if neither of the first two takes the core."""
+        owner, releaser = view.owner, view.releaser
+        if owner is not None:
+            yield owner
+        if releaser != owner:
+            yield releaser
+        yield from _ranked_others(view)
 
 
 class ReleaserFirstReclaim(ReclaimPolicy):
@@ -193,10 +200,10 @@ class ReleaserFirstReclaim(ReclaimPolicy):
 
     name = "releaser-first"
 
-    def grant_order(self, view: CoreGrantView) -> Sequence[WorkerKey]:
+    def grant_order(self, view: CoreGrantView) -> Iterator[WorkerKey]:
         """releaser → owner → others by ``(-backlog, key)``."""
-        order: list[WorkerKey] = [view.releaser]
-        if view.owner is not None and view.owner != view.releaser:
-            order.append(view.owner)
-        order.extend(_others_by_backlog(view))
-        return order
+        owner, releaser = view.owner, view.releaser
+        yield releaser
+        if owner is not None and owner != releaser:
+            yield owner
+        yield from _ranked_others(view)

@@ -31,11 +31,11 @@ class TentativeImmediateOffload(OffloadPolicy):
 
     def choose_worker(self, task: TaskView, view: SchedulerView) -> Decision:
         """First under-threshold node in §5.5 locality order, else QUEUE."""
-        for node_id in view.by_locality():
-            node = view.node(node_id)
-            if not node.alive:
-                continue        # crashed worker not yet unregistered
-            if node.load_ratio < view.tasks_per_core:
+        limit = view.tasks_per_core
+        for node_id in task.by_locality():
+            # the load test first: it is what rejects most candidates (a
+            # crashed worker not yet unregistered is skipped as well)
+            if view.load_ratio(node_id) < limit and view.alive(node_id):
                 return KEEP if node_id == view.home_node else node_id
         return QUEUE
 

@@ -1,4 +1,11 @@
-"""NetworkX interop: export shape and cross-validation of our metrics."""
+"""Cross-validation of our expansion metrics against a numpy reference.
+
+The reference works from the raw edge list: breadth-first search for
+connectivity and hop diameter, and the second-smallest eigenvalue of the
+graph Laplacian (``numpy.linalg.eigvalsh``) for the Fiedler value.
+"""
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,33 +13,58 @@ import pytest
 from repro.errors import GraphError
 from repro.graph import (BipartiteGraph, random_biregular, spectral_gap,
                         vertex_isoperimetric_number)
-from repro.graph.interop import (algebraic_connectivity, diameter,
-                                 is_connected, to_networkx)
+
+
+def adjacency(graph):
+    """Neighbour lists of the bipartite graph: appranks are vertices
+    ``0..A-1``, nodes ``A..A+N-1``."""
+    offset = graph.num_appranks
+    neighbours = [[] for _ in range(offset + graph.num_nodes)]
+    for a, n in graph.edges():
+        neighbours[a].append(offset + n)
+        neighbours[offset + n].append(a)
+    return neighbours
+
+
+def hops_from(neighbours, source):
+    """BFS hop distance from *source* to every reachable vertex."""
+    dist = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        v = frontier.popleft()
+        for w in neighbours[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                frontier.append(w)
+    return dist
+
+
+def is_connected(graph):
+    neighbours = adjacency(graph)
+    return len(hops_from(neighbours, 0)) == len(neighbours)
+
+
+def diameter(graph):
+    neighbours = adjacency(graph)
+    if not is_connected(graph):
+        raise GraphError("graph is disconnected: diameter undefined")
+    return max(max(hops_from(neighbours, v).values())
+               for v in range(len(neighbours)))
+
+
+def algebraic_connectivity(graph):
+    neighbours = adjacency(graph)
+    laplacian = np.zeros((len(neighbours), len(neighbours)))
+    for v, ws in enumerate(neighbours):
+        laplacian[v, v] = len(ws)
+        for w in ws:
+            laplacian[v, w] -= 1.0
+    return float(np.linalg.eigvalsh(laplacian)[1])
 
 
 def disconnected_graph():
     return BipartiteGraph.from_adjacency(
         [[0, 1], [0, 1], [2, 3], [2, 3]], num_nodes=4)
-
-
-class TestExport:
-    def test_vertex_and_edge_counts(self):
-        graph = random_biregular(8, 4, 3, np.random.default_rng(0))
-        g = to_networkx(graph)
-        assert g.number_of_nodes() == 8 + 4
-        assert g.number_of_edges() == 8 * 3
-
-    def test_bipartite_attributes(self):
-        graph = random_biregular(4, 4, 2, np.random.default_rng(0))
-        g = to_networkx(graph)
-        assert g.nodes[("apprank", 0)]["bipartite"] == 0
-        assert g.nodes[("node", 0)]["bipartite"] == 1
-
-    def test_home_edges_marked(self):
-        graph = random_biregular(4, 4, 2, np.random.default_rng(0))
-        g = to_networkx(graph)
-        homes = sum(1 for _u, _v, data in g.edges(data=True) if data["home"])
-        assert homes == 4
 
 
 class TestMetricsCrossValidation:

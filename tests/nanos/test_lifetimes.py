@@ -142,14 +142,14 @@ class TestRecoveredTasks:
 
     def test_recovered_task_is_placed_from_a_fresh_cache(self, monkeypatch):
         first_placements = {}
-        place_fast = AppRankScheduler._place_fast
+        place = AppRankScheduler._place
 
-        def spy(self, task):
+        def spy(self, task, drained=False):
             if task.retries and task not in first_placements:
                 first_placements[task] = task._place_cache
-            return place_fast(self, task)
+            return place(self, task, drained)
 
-        monkeypatch.setattr(AppRankScheduler, "_place_fast", spy)
+        monkeypatch.setattr(AppRankScheduler, "_place", spy)
         runtime = run_synthetic(CRASH)
         assert runtime.tasks_recovered == 25
         assert first_placements

@@ -57,7 +57,7 @@ class TestLocalityOrdering:
             [rt.access("out", 0, 1000)], helper)
         from repro.nanos.task import Task
         task = Task(work=0.1, accesses=(rt.access("in", 0, 1000),))
-        order = scheduler.scheduler_view(task).by_locality()
+        order = scheduler.locality_order(task)
         assert order[0] == helper    # data beats the home tie-break
 
     def test_home_wins_when_no_data(self):
@@ -66,5 +66,5 @@ class TestLocalityOrdering:
                                 config=config)
         scheduler = runtime.apprank(0).scheduler
         from repro.nanos.task import Task
-        order = scheduler.scheduler_view(Task(work=0.1)).by_locality()
+        order = scheduler.locality_order(Task(work=0.1))
         assert order[0] == runtime.apprank(0).home_node

@@ -46,29 +46,36 @@ def _run_snapshot(result: Any) -> dict[str, Any]:
     }
 
 
-def micropp_snapshot() -> dict[str, Any]:
-    """The zero-overhead harness's headline MicroPP run (deg 2, global)."""
+def micropp_snapshot(validate: bool = False,
+                     obs: bool = False) -> dict[str, Any]:
+    """The zero-overhead harness's headline MicroPP run (deg 2, global).
+
+    *validate* / *obs* arm the sanitizer / instrumentation, which must
+    leave the snapshot bit-identical.
+    """
     machine = MARENOSTRUM4.scaled(8)
     spec = MicroppSpec(num_appranks=4, cores_per_apprank=8,
                        subdomains_per_core=4, iterations=2, seed=7)
-    config = RuntimeConfig.offloading(2, "global",
+    config = RuntimeConfig.offloading(2, "global", validate=validate, obs=obs,
                                       local_period=0.02, global_period=0.2)
     return _run_snapshot(run_workload(machine, 4, 1, config,
                                       lambda: make_micropp_app(spec)))
 
 
-def synthetic_snapshot(validate: bool = False) -> dict[str, Any]:
+def synthetic_snapshot(validate: bool = False,
+                       obs: bool = False) -> dict[str, Any]:
     """Synthetic imbalance 2.0, degree 4 (exercises KEEP/QUEUE/steal).
 
-    *validate* arms the :mod:`repro.validate` sanitizer; the snapshot must
-    stay bit-identical either way (the sanitizer is strictly passive).
+    *validate* arms the :mod:`repro.validate` sanitizer and *obs* the
+    instrumentation; the snapshot must stay bit-identical either way
+    (both are strictly passive).
     """
     machine = MARENOSTRUM4.scaled(8)
     spec = SyntheticSpec(num_appranks=4, imbalance=2.0, cores_per_apprank=8,
                          tasks_per_core=10, iterations=3)
     config = TINY.tune(RuntimeConfig.offloading(4, "global"))
-    if validate:
-        config = config.with_(validate=True)
+    if validate or obs:
+        config = config.with_(validate=validate, obs=obs)
     return _run_snapshot(run_workload(machine, 4, 1, config,
                                       lambda: make_synthetic_app(spec)))
 

@@ -2,24 +2,17 @@
 
 from repro.policies import (EagerLend, HoardLend, OwnerFirstReclaim,
                             ReleaserFirstReclaim, ReserveOneLend)
-from repro.policies.lewi import CandidateView, CoreGrantView, LendView
 
 from tests.dlb.test_shmem import make_arbiter
+from tests.policies.views import FakeGrantView, FakeLendView
 
 
 def lend_view(idle=3):
-    return LendView(node_id=0, worker_key=("a", 0), idle_owned_cores=idle,
-                    backlog=0)
+    return FakeLendView(idle=idle)
 
 
-def grant_view(owner=("a", 0), releaser=("b", 0), candidates=()):
-    return CoreGrantView(node_id=0, core_index=0, owner=owner,
-                         releaser=releaser, candidates=tuple(candidates))
-
-
-def candidate(key, ready=0, owner=False, releaser=False):
-    return CandidateView(key=key, has_ready=ready > 0, backlog=ready,
-                         is_owner=owner, is_releaser=releaser)
+def grant_view(owner=("a", 0), releaser=("b", 0), backlogs=None):
+    return FakeGrantView(owner=owner, releaser=releaser, backlogs=backlogs)
 
 
 class TestLendPolicies:
@@ -27,17 +20,16 @@ class TestLendPolicies:
         assert EagerLend().lend_count(lend_view(idle=3)) == 3
 
     def test_eager_releases_unless_owner_has_work(self):
-        busy_owner = grant_view(candidates=[candidate(("a", 0), ready=2,
-                                                      owner=True)])
-        idle_owner = grant_view(candidates=[candidate(("a", 0), owner=True)])
-        gone_owner = grant_view(owner=None, candidates=[])
+        busy_owner = grant_view(backlogs={("a", 0): 2})
+        idle_owner = grant_view(backlogs={("a", 0): 0})
+        gone_owner = grant_view(owner=None)
         assert not EagerLend().lend_released(busy_owner)
         assert EagerLend().lend_released(idle_owner)
         assert EagerLend().lend_released(gone_owner)
 
     def test_hoard_never_lends(self):
         assert HoardLend().lend_count(lend_view(idle=3)) == 0
-        assert not HoardLend().lend_released(grant_view(candidates=[]))
+        assert not HoardLend().lend_released(grant_view())
 
     def test_reserve_one_keeps_a_warm_core(self):
         assert ReserveOneLend().lend_count(lend_view(idle=3)) == 2
@@ -49,10 +41,7 @@ class TestReclaimPolicies:
     def _view(self):
         return grant_view(
             owner=("a", 0), releaser=("b", 0),
-            candidates=[candidate(("a", 0), ready=1, owner=True),
-                        candidate(("b", 0), ready=1, releaser=True),
-                        candidate(("c", 0), ready=5),
-                        candidate(("d", 0), ready=2)])
+            backlogs={("a", 0): 1, ("b", 0): 1, ("c", 0): 5, ("d", 0): 2})
 
     def test_owner_first_order(self):
         order = list(OwnerFirstReclaim().grant_order(self._view()))
@@ -64,18 +53,24 @@ class TestReclaimPolicies:
 
     def test_owner_releasing_its_own_core_not_duplicated(self):
         v = grant_view(owner=("a", 0), releaser=("a", 0),
-                       candidates=[candidate(("a", 0), ready=1, owner=True,
-                                             releaser=True)])
+                       backlogs={("a", 0): 1})
         assert list(OwnerFirstReclaim().grant_order(v)) == [("a", 0)]
         assert list(ReleaserFirstReclaim().grant_order(v)) == [("a", 0)]
 
     def test_others_ranked_by_backlog_then_key(self):
-        v = grant_view(candidates=[candidate(("d", 0), ready=2),
-                                   candidate(("c", 0), ready=2),
-                                   candidate(("e", 0), ready=9)])
+        v = grant_view(backlogs={("d", 0): 2, ("c", 0): 2, ("e", 0): 9})
         order = list(OwnerFirstReclaim().grant_order(v))
-        # owner, releaser (not in candidates), then e (backlog 9), c, d
+        # owner, releaser (not registered), then e (backlog 9), c, d
         assert order[-3:] == [("e", 0), ("c", 0), ("d", 0)]
+
+    def test_others_ranked_only_when_reached(self):
+        v = self._view()
+        order = iter(OwnerFirstReclaim().grant_order(v))
+        assert next(order) == ("a", 0)
+        assert next(order) == ("b", 0)
+        assert v.backlog_reads == []
+        assert list(order) == [("c", 0), ("d", 0)]
+        assert sorted(v.backlog_reads) == [("c", 0), ("d", 0)]
 
 
 class TestArbiterUsesPolicies:
@@ -124,3 +119,19 @@ class TestArbiterUsesPolicies:
         _, arbiter, _ = make_arbiter()
         assert arbiter.lend_policy.name == "eager"
         assert arbiter.reclaim_policy.name == "owner-first"
+
+    def test_owner_grant_reads_no_other_backlog(self):
+        # The arbiter consumes grant_order lazily: when the owner takes
+        # the released core, the others are never ranked by backlog.
+        _, arbiter, ports = make_arbiter(num_cores=3, workers=("a", "b", "c"))
+        arbiter.initialize_ownership({("a", 0): 1, ("b", 0): 1, ("c", 0): 1})
+        reads = []
+        for port in ports.values():
+            port.ready = 2
+            port.ready_count = (lambda p=port: reads.append(p.key) or p.ready)
+        core = arbiter.acquire_core(ports["b"])
+        core.start(("b", 0))
+        core.stop(("b", 0))
+        arbiter.release_core(core, ("b", 0))
+        assert core.occupant == ("b", 0)
+        assert reads == []
