@@ -17,4 +17,4 @@ def test_fig09_lewi_drom_ablation(benchmark):
     assert rel["lewi+drom"] == min(rel.values())
     # trace recorders are attached for rendering
     for runtime in table.runtimes.values():
-        assert runtime.trace is not None
+        assert runtime.obs.trace.nodes("busy")

@@ -28,11 +28,11 @@ def main() -> None:
         print("#" * 72)
         print(f"# {config}: elapsed {runtime.elapsed:.3f} s")
         print("#" * 72)
-        print(render_trace(runtime.trace, "busy", 0.0, runtime.elapsed,
+        print(render_trace(runtime.obs.trace, "busy", 0.0, runtime.elapsed,
                            width=64, peak=SCALE.cores_per_node))
         print()
         if config != "baseline":
-            print(render_trace(runtime.trace, "owned", 0.0, runtime.elapsed,
+            print(render_trace(runtime.obs.trace, "owned", 0.0, runtime.elapsed,
                                width=64, peak=SCALE.cores_per_node))
             print()
 

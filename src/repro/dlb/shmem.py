@@ -356,6 +356,9 @@ class NodeArbiter:
         moved = core.apply_pending_owner()
         if moved:
             self.cores_moved += 1
+            if self.obs is not None:
+                self.obs.ownership_sample(self.node.node_id,
+                                          self.ownership_counts())
         owner = core.owner
         view = self._grant
         view.core_index = core.index

@@ -89,7 +89,7 @@ def run(scale: Scale = MEDIUM,
                  "remote_frac_phase2", "offloaded_phase2"])
     table.runtimes = {}  # type: ignore[attr-defined]  (trace handles for plotting)
     for policy in policies:
-        config = scale.tune(RuntimeConfig.offloading(2, policy, trace=True))
+        config = scale.tune(RuntimeConfig.offloading(2, policy, obs=True))
         result = run_workload(machine, 2, 1, config,
                               lambda s=spec: (lambda comm, rt:
                                               _two_phase_main(comm, rt, s)))
@@ -109,7 +109,7 @@ def run(scale: Scale = MEDIUM,
 
 def _remote_fraction(runtime, start: float, end: float) -> float:
     """Fraction of busy core·seconds executed away from the home node."""
-    trace = runtime.trace
+    trace = runtime.obs.trace
     remote = total = 0.0
     for node in trace.nodes("busy"):
         for apprank in trace.appranks_on_node("busy", node):

@@ -9,8 +9,9 @@ Four appranks on four nodes, offloading degree 2:
 * (g)   LeWI + DROM — LeWI reacts in the first iterations, DROM locks in
   the steady state; the best of both.
 
-The run returns both the timing table and the trace recorders so the
-example scripts can render the busy/owned timelines.
+The run returns both the timing table and the instrumented runtimes so
+the example scripts can render the busy/owned timelines
+(``runtime.obs.trace``).
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ def run(scale: Scale = MEDIUM, num_nodes: int = 4, degree: int = 2,
     baseline_time = None
     for label, lewi, drom in ABLATIONS:
         if label == "baseline":
-            config = scale.tune(RuntimeConfig.baseline(trace=True))
+            config = scale.tune(RuntimeConfig.baseline(obs=True))
         else:
             config = scale.tune(RuntimeConfig(
                 offload_degree=degree, lewi=lewi, drom=drom,
-                policy=policy if drom else None, trace=True))
+                policy=policy if drom else None, obs=True))
         result = run_workload(machine, num_nodes, 1, config,
                               lambda s=spec: make_micropp_app(s))
         if baseline_time is None:

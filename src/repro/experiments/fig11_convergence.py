@@ -90,10 +90,10 @@ def run(scale: Scale = MEDIUM,
                 degree -= 1
             config = scale.tune(RuntimeConfig(
                 offload_degree=degree, lewi=lewi, drom=drom,
-                policy=policy if drom else None, trace=True))
+                policy=policy if drom else None, obs=True))
             result = run_workload(machine, num_nodes, 1, config,
                                   lambda s=spec: make_synthetic_app(s))
-            trace = result.runtime.trace
+            trace = result.runtime.obs.trace
             busy = trace.busy_by_node(range(num_nodes))
             times = np.linspace(window, result.elapsed, 200)
             series = node_imbalance_series(

@@ -86,8 +86,7 @@ def _workload(name: str, scale: Scale, config_faults: Optional[FaultPlan]
             num_appranks=nodes, cores_per_apprank=machine.cores_per_node,
             subdomains_per_core=scale.micropp_subdomains_per_core,
             iterations=scale.iterations, seed=7)
-        config = scale.tune(RuntimeConfig.offloading(4, "global", obs=True,
-                                                     trace=True))
+        config = scale.tune(RuntimeConfig.offloading(4, "global", obs=True))
         return run_workload(machine, nodes, 1, config,
                             lambda: make_micropp_app(spec)), None
     if name == "synthetic":
@@ -96,8 +95,7 @@ def _workload(name: str, scale: Scale, config_faults: Optional[FaultPlan]
                              cores_per_apprank=machine.cores_per_node,
                              tasks_per_core=scale.tasks_per_core,
                              iterations=scale.iterations)
-        config = scale.tune(RuntimeConfig.offloading(4, "global", obs=True,
-                                                     trace=True))
+        config = scale.tune(RuntimeConfig.offloading(4, "global", obs=True))
         return run_workload(machine, 8, 1, config,
                             lambda: make_synthetic_app(spec)), None
     if name == "nbody":
@@ -109,8 +107,7 @@ def _workload(name: str, scale: Scale, config_faults: Optional[FaultPlan]
             bodies_per_apprank=(64 * scale.tasks_per_core
                                 * (nord.cores_per_node // per_node) // 2),
             bodies_per_task=64, timesteps=scale.iterations)
-        config = scale.tune(RuntimeConfig.offloading(3, "global", obs=True,
-                                                     trace=True))
+        config = scale.tune(RuntimeConfig.offloading(3, "global", obs=True))
         slow = {0: 1.8 / NORD3.base_freq_ghz}
         return run_workload(nord, nodes, per_node, config,
                             lambda: make_nbody_app(spec),
@@ -121,8 +118,7 @@ def _workload(name: str, scale: Scale, config_faults: Optional[FaultPlan]
                              cores_per_apprank=machine.cores_per_node,
                              tasks_per_core=scale.tasks_per_core,
                              iterations=scale.iterations)
-        config = scale.tune(RuntimeConfig.offloading(2, "global", obs=True,
-                                                     trace=True))
+        config = scale.tune(RuntimeConfig.offloading(2, "global", obs=True))
         faults = config_faults
         if faults is None:
             faults = FaultPlan.parse(
@@ -142,11 +138,11 @@ def run(name: str, scale: Scale = SMALL,
     """Run one observed workload; export and analyse its trace.
 
     *out* writes the Chrome trace-event JSON, *paraver* a Paraver triple
-    (``paraver``.prv/.pcf/.row) built from the observability bus's task
-    spans mapped onto the classic busy/owned recorder. The returned
-    report's breakdown is checked to sum to the makespan.
+    (``paraver``.prv/.pcf/.row) of the busy/owned series ``obs.trace``
+    with the bus's fault instants as point events. The returned report's
+    breakdown is checked to sum to the makespan.
     """
-    from ..obs import critical_path, export_chrome_trace
+    from ..obs import CAT_FAULT, critical_path, export_chrome_trace
     result, _ = _workload(name, scale, faults)
     runtime = result.runtime
     obs = runtime.obs
@@ -162,11 +158,8 @@ def run(name: str, scale: Scale = SMALL,
     paraver_paths = None
     if paraver is not None:
         from ..metrics.paraver import export_paraver
-        if runtime.trace is None:
-            raise ExperimentError(
-                "Paraver export needs config.trace; re-run with --paraver "
-                "support wired (trace recorder absent)")
-        paraver_paths = export_paraver(runtime.trace, runtime.elapsed,
-                                       Path(paraver))
+        paraver_paths = export_paraver(obs.trace, runtime.elapsed,
+                                       Path(paraver),
+                                       obs.bus.instants_of(CAT_FAULT))
     return TraceRun(name=name, result=result, report=report,
                     chrome_path=chrome_path, paraver_paths=paraver_paths)

@@ -170,20 +170,13 @@ class FaultInjector:
         node = self.runtime.cluster.node(degradation.node)
         previous = node.speed
         node.set_speed(degradation.speed)
-        trace = self.runtime.trace
         obs = self.runtime.obs
-        if trace is not None:
-            trace.add_event(self.runtime.sim.now, "degrade",
-                            node=degradation.node, speed=degradation.speed)
         if obs is not None:
             obs.fault("degrade", node=degradation.node,
                       speed=degradation.speed)
         if degradation.duration is not None:
             def restore() -> None:
                 node.set_speed(previous)
-                if trace is not None:
-                    trace.add_event(self.runtime.sim.now, "degrade-end",
-                                    node=degradation.node, speed=previous)
                 if obs is not None:
                     obs.fault("degrade-end", node=degradation.node,
                               speed=previous)

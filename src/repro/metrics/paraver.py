@@ -1,15 +1,16 @@
 """Paraver trace export (.prv / .pcf / .row).
 
 The paper's timelines (Figures 5 and 9) are Paraver views; this module
-writes a :class:`~repro.metrics.trace.TraceRecorder` as a loadable Paraver
-trace triple:
+writes a :class:`~repro.metrics.trace.TraceRecorder` (``runtime.obs.trace``)
+as a loadable Paraver trace triple:
 
 * one Paraver *task* per apprank, one *thread* per (apprank, node) worker;
 * event type 90000001 carries the worker's busy-core count at each change
   point, 90000002 the DROM-owned core count;
-* event type 90000003 carries point events (faults, recoveries, ...) from
-  the recorder's event bus, with the event kinds enumerated as values in
-  the .pcf so Paraver renders them as named flags;
+* event type 90000003 carries point events (faults, recoveries, ...):
+  the :mod:`repro.obs` bus instants passed as *events* (a run's
+  ``obs.bus.instants_of(CAT_FAULT)``), with the event kinds enumerated as
+  values in the .pcf so Paraver renders them as named flags;
 * state records mark a thread Running (1) while it has any busy core and
   Idle (0) otherwise — giving the familiar coloured timeline.
 
@@ -19,10 +20,13 @@ Times are nanoseconds (Paraver's unit), scaled from simulated seconds.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import ReproError
 from .trace import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.events import Instant
 
 __all__ = ["export_paraver", "BUSY_EVENT_TYPE", "OWNED_EVENT_TYPE",
            "POINT_EVENT_TYPE"]
@@ -78,11 +82,12 @@ def _threads(trace: TraceRecorder) -> list[tuple[int, int]]:
 
 
 def export_paraver(trace: TraceRecorder, end_time: float, basename: Path,
-                   cores_per_node: Optional[int] = None) -> dict[str, Path]:
+                   events: Iterable["Instant"] = ()) -> dict[str, Path]:
     """Write ``basename``.prv/.pcf/.row; returns the paths written.
 
     *end_time* is the simulated duration covered (usually
-    ``runtime.elapsed``).
+    ``runtime.elapsed``); *events* are the point events, in emission
+    order.
     """
     if end_time <= 0:
         raise ReproError("end_time must be positive")
@@ -141,9 +146,10 @@ def export_paraver(trace: TraceRecorder, end_time: float, basename: Path,
                     f"{appranks.index(apprank) + 1}:1")
         return "1:1:1:1"
 
-    kinds = sorted({i.name for i in trace.bus.instants})
+    events = list(events)
+    kinds = sorted({i.name for i in events})
     kind_values = {kind: i + 1 for i, kind in enumerate(kinds)}
-    for instant in trace.bus.instants:
+    for instant in events:
         ident = thread_ident(instant.args.get("apprank", -1),
                              instant.track.node)
         records.append(

@@ -1,11 +1,12 @@
-"""Trace recording: busy and owned core timelines per (node, apprank).
+"""Busy and owned core timelines per (node, apprank).
 
 The paper's trace figures (5, 9, 11) plot exactly two signals per
 node/apprank pair: cores *busy* (executing tasks) and cores *owned* (DROM).
-Busy changes are recorded exactly (workers call :meth:`busy_delta` on every
-task start/stop); ownership is sampled periodically plus at every DROM
-change notification, which is exact enough for the figures while staying
-cheap.
+Both are recorded exactly, as step series held by
+:class:`~repro.obs.Observability` (``runtime.obs.trace``): workers call
+:meth:`TraceRecorder.busy_delta` on every task start/stop, and every DROM
+ownership change on a node, including a pending transfer applied when
+its core is released, calls :meth:`TraceRecorder.set_owned`.
 """
 
 from __future__ import annotations
@@ -13,29 +14,16 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..errors import ReproError
-from ..sim.engine import Simulator
 from .timeline import StepSeries
 
 __all__ = ["TraceRecorder"]
 
 
 class TraceRecorder:
-    """Collects step series keyed by (metric, node, apprank).
+    """Collects step series keyed by (metric, node, apprank)."""
 
-    Point events (faults, recoveries, fallbacks) are stored on a private
-    :class:`repro.obs.bus.EventBus` rather than a bare list, so the same
-    structured records feed the Paraver point-event export and the legacy
-    tuple view (:attr:`events`). The import is lazy on purpose: a recorder
-    only exists on traced runs, and untraced runs must never load
-    :mod:`repro.obs` (the zero-overhead guarantee).
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        from ..obs.bus import EventBus
-        self.sim = sim
+    def __init__(self) -> None:
         self._series: dict[tuple[str, int, int], StepSeries] = {}
-        #: structured point-event storage (instants with cat="trace")
-        self.bus = EventBus(clock=lambda: sim.now)
 
     def _get(self, metric: str, node: int, apprank: int) -> StepSeries:
         key = (metric, node, apprank)
@@ -54,35 +42,6 @@ class TraceRecorder:
     def set_owned(self, now: float, node: int, apprank: int, count: int) -> None:
         """Record the apprank's DROM-owned core count on *node*."""
         self._get("owned", node, apprank).set(now, count)
-
-    def record_scalar(self, metric: str, now: float, value: float,
-                      node: int = -1, apprank: int = -1) -> None:
-        """Free-form extra signals (queue depths, imbalance, ...)."""
-        self._get(metric, node, apprank).set(now, value)
-
-    def add_event(self, now: float, kind: str, node: int = -1,
-                  apprank: int = -1, **detail) -> None:
-        """Record a point event (fault injected, task recovered, ...)."""
-        from ..obs.events import CAT_TRACE, Track
-        if "apprank" in detail:
-            raise ReproError("'apprank' is a positional add_event parameter")
-        self.bus.emit_instant(kind, CAT_TRACE, Track(node, "trace"),
-                              time=now, apprank=apprank, **detail)
-
-    @property
-    def events(self) -> list[tuple[float, str, int, int, dict]]:
-        """Legacy tuple view: (time, kind, node, apprank, detail) records."""
-        out = []
-        for instant in self.bus.instants:
-            detail = dict(instant.args)
-            apprank = detail.pop("apprank", -1)
-            out.append((instant.time, instant.name, instant.track.node,
-                        apprank, detail))
-        return out
-
-    def events_of(self, kind: str) -> list[tuple[float, str, int, int, dict]]:
-        """All recorded point events of one kind, in occurrence order."""
-        return [e for e in self.events if e[1] == kind]
 
     # -- queries -----------------------------------------------------------
 

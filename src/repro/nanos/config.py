@@ -72,7 +72,8 @@ class RuntimeConfig:
     #: modelled process-spawn latency for a new helper rank, seconds
     dynamic_spawn_latency: float = 0.1
     #: full structured instrumentation (:mod:`repro.obs`): event bus,
-    #: metrics registry, Chrome/Paraver export, critical-path analysis.
+    #: metrics registry, busy/owned trace series (Figs 5/9/11),
+    #: Chrome/Paraver export, critical-path analysis.
     #: Off by default — disabled runs never even import the subsystem.
     obs: bool = False
     #: invariant sanitizer (:mod:`repro.validate`): asserts clock
@@ -83,14 +84,12 @@ class RuntimeConfig:
     #: events or consumes randomness), so enabling it does not perturb
     #: timing. Off by default — disabled runs never import the subsystem.
     validate: bool = False
-    #: not a field (no annotation, so not settable): there is no in-process
-    #: wall-clock recorder. ``perfbench/workloads.py`` still reads it when
-    #: it asserts that every tap of a timed run is off.
+    #: not fields (no annotation, so not settable): there is no in-process
+    #: wall-clock recorder, and the busy/owned trace series are recorded
+    #: by ``obs``. ``perfbench/workloads.py`` still reads both when it
+    #: asserts that every tap of a timed run is off.
     perf = False
-    #: record busy/owned trace timelines (costs memory; used by Figs 5/9/11)
-    trace: bool = False
-    #: ownership sampling period for traces, seconds
-    trace_period: float = 0.05
+    trace = False
     #: resilience: time to wait for an offload acknowledgement before
     #: re-sending (only armed when a fault plan is active)
     offload_ack_timeout: float = 0.05

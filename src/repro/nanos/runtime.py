@@ -3,9 +3,9 @@
 Assembles (Figure 2): the simulated cluster, the expander graph and worker
 placement, one DLB arbiter per node with LeWI/DROM facades, one
 :class:`~repro.nanos.apprank.AppRankRuntime` per application rank with its
-workers, the selected core-allocation policy, TALP, optional tracing, and
-the simulated MPI world whose world communicator plays the role of
-``nanos6_app_communicator()``.
+workers, the selected core-allocation policy, TALP, optional
+instrumentation (``obs``), and the simulated MPI world whose world
+communicator plays the role of ``nanos6_app_communicator()``.
 
 The application is an SPMD generator ``main(comm, rt, *args)`` — *comm* is
 the apprank's MPI view, *rt* its runtime (``submit``/``taskwait``) — run to
@@ -30,12 +30,10 @@ from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..graph.cache import get_graph
 from ..graph.placement import WorkerKey, build_placement
-from ..metrics.trace import TraceRecorder
 from ..mpisim.world import MpiWorld
 from ..policies import (LEND_POLICIES, REALLOCATION_POLICIES,
                         RECLAIM_POLICIES, NodeReallocationPolicy)
 from ..sim.engine import Simulator
-from ..sim.events import Event, EventPriority
 from .apprank import AppRankRuntime
 from .config import RuntimeConfig
 from .task import Task, TaskState
@@ -71,8 +69,6 @@ class ClusterRuntime:
                                use_cache=config.use_graph_cache)
         self.placement = build_placement(self.graph,
                                          spec.machine.cores_per_node)
-        self.trace: Optional[TraceRecorder] = (
-            TraceRecorder(self.sim) if config.trace else None)
         #: structured instrumentation (event bus + metrics). The import is
         #: deliberately lazy: a disabled run never even loads repro.obs.
         self.obs = None
@@ -135,7 +131,6 @@ class ClusterRuntime:
                 if n < self.graph.num_nodes else set())
             for n in range(spec.num_nodes)
         }
-        self._trace_event: Optional[Event] = None
         self.elapsed: Optional[float] = None
 
         #: nodes that crashed mid-run (their cores never run again)
@@ -162,8 +157,8 @@ class ClusterRuntime:
                                 self.cluster.node(node_id),
                                 self.arbiters[node_id],
                                 on_task_finished=runtime.on_task_finished,
-                                talp=self.talp, trace=self.trace,
-                                obs=self.obs, validator=self.validator)
+                                talp=self.talp, obs=self.obs,
+                                validator=self.validator)
                 worker.apprank_runtime = runtime
                 worker_map[node_id] = worker
                 self.workers[worker.key] = worker
@@ -210,29 +205,14 @@ class ClusterRuntime:
         """DROM moved cores on *node_id*: re-evaluate spill queues and traces."""
         for apprank_id in self._appranks_on_node[node_id]:
             self.appranks[apprank_id].scheduler.drain()
-        if self.trace is not None:
-            self._sample_ownership()
         if self.obs is not None:
             self.obs.ownership_sample(
                 node_id, self.arbiters[node_id].ownership_counts())
 
-    def _sample_ownership(self) -> None:
-        now = self.sim.now
-        for node_id, arbiter in self.arbiters.items():
-            for key, count in arbiter.ownership_counts().items():
-                apprank_id, _node = key
-                self.trace.set_owned(now, node_id, apprank_id, count)
-
-    def _trace_tick(self) -> None:
-        self._sample_ownership()
-        self._trace_event = self.sim.schedule(
-            self.config.trace_period, self._trace_tick,
-            priority=EventPriority.TRACE, label="trace-sample")
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Arm policies, TALP, tracing and faults; lend initially idle cores."""
+        """Arm policies, TALP, obs and faults; lend initially idle cores."""
         if self.faults is not None:
             self.faults.arm()
             if self.validator is not None:
@@ -246,25 +226,17 @@ class ClusterRuntime:
             self.policy.start()
         if self.spreader is not None:
             self.spreader.start()
-        if self.trace is not None:
-            self._sample_ownership()
-            self._trace_event = self.sim.schedule(
-                self.config.trace_period, self._trace_tick,
-                priority=EventPriority.TRACE, label="trace-sample")
         if self.obs is not None:
             for node_id, arbiter in self.arbiters.items():
                 self.obs.ownership_sample(node_id,
                                           arbiter.ownership_counts())
 
     def stop(self) -> None:
-        """Disarm policies, the spreader and tracing (idempotent)."""
+        """Disarm policies and the spreader (idempotent)."""
         if self.policy is not None:
             self.policy.stop()
         if self.spreader is not None:
             self.spreader.stop()
-        if self._trace_event is not None:
-            self.sim.cancel(self._trace_event)
-            self._trace_event = None
 
     def add_helper(self, apprank_id: int, node_id: int) -> Worker:
         """Grow the spreading graph at runtime (§5.2's dynamic extension).
@@ -289,7 +261,7 @@ class ClusterRuntime:
         worker = Worker(self.sim, (apprank_id, node_id),
                         self.cluster.node(node_id), arbiter,
                         on_task_finished=apprank_rt.on_task_finished,
-                        talp=self.talp, trace=self.trace, obs=self.obs,
+                        talp=self.talp, obs=self.obs,
                         validator=self.validator)
         worker.apprank_runtime = apprank_rt
         arbiter.register_worker(worker)
@@ -300,6 +272,8 @@ class ClusterRuntime:
             self.workers[worker.key] = worker
             self._appranks_on_node[node_id].add(apprank_id)
             arbiter.initialize_ownership({worker.key: cores})
+            if self.obs is not None:
+                self.obs.ownership_sample(node_id, arbiter.ownership_counts())
             arbiter.lend_idle_cores(worker.key)
             if self.policy is not None:
                 self.policy.add_worker(worker)
@@ -362,9 +336,6 @@ class ClusterRuntime:
         lost = self._take_down(worker)
         self.arbiters[node_id].retire_worker(worker.key)
         apprank_rt.directory.drop_node(node_id)
-        if self.trace is not None:
-            self.trace.add_event(self.sim.now, "worker-crash", node=node_id,
-                                 apprank=apprank_id, tasks_lost=len(lost))
         if self.obs is not None:
             self.obs.fault("worker-crash", node=node_id, apprank=apprank_id,
                            tasks_lost=len(lost))
@@ -396,9 +367,6 @@ class ClusterRuntime:
             self.appranks[worker.apprank].directory.drop_node(node_id)
         if self.policy is not None and hasattr(self.policy, "remove_node"):
             self.policy.remove_node(node_id)
-        if self.trace is not None:
-            self.trace.add_event(self.sim.now, "node-crash", node=node_id,
-                                 tasks_lost=len(lost))
         if self.obs is not None:
             self.obs.fault("node-crash", node=node_id, tasks_lost=len(lost))
         self._recover_tasks(lost)
@@ -430,10 +398,6 @@ class ClusterRuntime:
             self.tasks_recovered += 1
             if self.faults is not None:
                 self.faults.note_recovered(task)
-            if self.trace is not None:
-                self.trace.add_event(self.sim.now, "task-recovered",
-                                     apprank=task.apprank,
-                                     task_id=task.task_id, retry=task.retries)
             if self.obs is not None:
                 self.obs.fault("task-recovered", apprank=task.apprank,
                                task_id=task.task_id, retry=task.retries)

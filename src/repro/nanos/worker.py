@@ -4,7 +4,7 @@ A worker is one (apprank, node) edge of the expander graph — the apprank's
 main worker on its home node or a helper rank elsewhere. It keeps a queue
 of runnable tasks, starts them on cores granted by the node's DLB arbiter,
 and reports busy-core levels to its :class:`~repro.balance.load.LoadMeter`
-(feeding both policies) and to the optional trace recorder.
+(feeding both policies) and, on instrumented runs, to ``obs.trace``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .task import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dlb.talp import TalpModule
-    from ..metrics.trace import TraceRecorder
     from ..obs import Observability
     from ..validate import Sanitizer
 
@@ -38,7 +37,6 @@ class Worker:
                  arbiter: NodeArbiter,
                  on_task_finished: Callable[[Task, "Worker"], None],
                  talp: Optional["TalpModule"] = None,
-                 trace: Optional["TraceRecorder"] = None,
                  obs: Optional["Observability"] = None,
                  validator: Optional["Sanitizer"] = None) -> None:
         self.sim = sim
@@ -47,7 +45,6 @@ class Worker:
         self.arbiter = arbiter
         self._on_task_finished = on_task_finished
         self.talp = talp
-        self.trace = trace
         self.obs = obs
         self.validator = validator
         self.ready: deque[Task] = deque()
@@ -155,8 +152,9 @@ class Worker:
         task.start_time = self.sim.now
         self.running[task] = core
         self.meter.increment(self.sim.now)
-        if self.trace is not None:
-            self.trace.busy_delta(self.sim.now, self.node_id, self.apprank, +1)
+        if self.obs is not None:
+            self.obs.trace.busy_delta(self.sim.now, self.node_id, self.apprank,
+                                      +1)
         duration = self.node.task_duration(task.work)
         sim = self.sim
         self._completion_events[task] = sim.schedule(
@@ -182,16 +180,18 @@ class Worker:
         core.start(self.key)
         self._body_cores[execution] = core
         self.meter.increment(self.sim.now)
-        if self.trace is not None:
-            self.trace.busy_delta(self.sim.now, self.node_id, self.apprank, +1)
+        if self.obs is not None:
+            self.obs.trace.busy_delta(self.sim.now, self.node_id, self.apprank,
+                                      +1)
         execution.start_on(core)
 
     def _release_body_core(self, execution: BodyExecution) -> None:
         core = self._body_cores.pop(execution)
         core.stop(self.key)
         self.meter.decrement(self.sim.now)
-        if self.trace is not None:
-            self.trace.busy_delta(self.sim.now, self.node_id, self.apprank, -1)
+        if self.obs is not None:
+            self.obs.trace.busy_delta(self.sim.now, self.node_id, self.apprank,
+                                      -1)
         self.arbiter.release_core(core, self.key)
 
     def _park_for_resume(self, execution: BodyExecution) -> None:
@@ -278,8 +278,8 @@ class Worker:
             self.sim.cancel(self._completion_events.pop(task))
             core.stop(self.key)
             self.meter.decrement(now)
-            if self.trace is not None:
-                self.trace.busy_delta(now, self.node_id, self.apprank, -1)
+            if self.obs is not None:
+                self.obs.trace.busy_delta(now, self.node_id, self.apprank, -1)
             lost.append(task)
         self.running.clear()
         lost.extend(self.ready)
@@ -298,9 +298,8 @@ class Worker:
         self.tasks_executed += 1
         self.work_executed += task.work
         self.meter.decrement(now)
-        if self.trace is not None:
-            self.trace.busy_delta(now, self.node_id, self.apprank, -1)
         if self.obs is not None:
+            self.obs.trace.busy_delta(now, self.node_id, self.apprank, -1)
             self.obs.task_executed(task, self.node_id, core.index,
                                    start=task.start_time, end=now)
             if core.owner != self.key:

@@ -9,10 +9,13 @@ One subsystem carries every signal the stack can emit:
 * :class:`Observability` — the facade the runtime layers
   (:mod:`repro.sim`, :mod:`repro.mpisim`, :mod:`repro.nanos`,
   :mod:`repro.dlb`, :mod:`repro.faults`) hold a reference to; every
-  instrumentation point is a single guarded call on it;
+  instrumentation point is a single guarded call on it, and it also
+  holds the busy/owned step series the paper's trace figures read
+  (``obs.trace``);
 * exporters — :func:`export_chrome_trace` writes Chrome trace-event JSON
   loadable in Perfetto; the Paraver writer
-  (:mod:`repro.metrics.paraver`) carries the new event types too;
+  (:mod:`repro.metrics.paraver`) exports ``obs.trace`` with the bus's
+  fault instants as point events;
 * analysis — :func:`critical_path` reconstructs the task-dependency
   critical path from recorded spans and splits the makespan into
   compute / communication / idle / imbalance.
@@ -29,7 +32,7 @@ from .chrome import export_chrome_trace, trace_events
 from .critical_path import CriticalPathReport, critical_path
 from .events import (CounterSample, Instant, Span, Track,
                      CAT_DLB, CAT_FAULT, CAT_MPI, CAT_RUNTIME, CAT_SCHED,
-                     CAT_TASK, CAT_TRACE)
+                     CAT_TASK)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observe import Observability
 
@@ -54,5 +57,4 @@ __all__ = [
     "CAT_FAULT",
     "CAT_SCHED",
     "CAT_RUNTIME",
-    "CAT_TRACE",
 ]

@@ -26,7 +26,7 @@ from typing import Any
 
 __all__ = ["Track", "Span", "Instant", "CounterSample",
            "CAT_TASK", "CAT_MPI", "CAT_DLB", "CAT_FAULT", "CAT_SCHED",
-           "CAT_RUNTIME", "CAT_TRACE"]
+           "CAT_RUNTIME"]
 
 #: task lifecycle: ready -> run -> done spans, recovery instants
 CAT_TASK = "task"
@@ -40,8 +40,6 @@ CAT_FAULT = "fault"
 CAT_SCHED = "sched"
 #: simulator processes and run-level markers
 CAT_RUNTIME = "runtime"
-#: legacy TraceRecorder point events (kept for the paper figures)
-CAT_TRACE = "trace"
 
 
 @dataclass(frozen=True)

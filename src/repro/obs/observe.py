@@ -1,12 +1,14 @@
 """The instrumentation facade the runtime layers emit through.
 
 One :class:`Observability` per :class:`~repro.nanos.runtime.ClusterRuntime`
-bundles the structured :class:`~repro.obs.bus.EventBus` and the
-:class:`~repro.obs.metrics.MetricsRegistry`, and gives every layer a
+bundles the structured :class:`~repro.obs.bus.EventBus`, the
+:class:`~repro.obs.metrics.MetricsRegistry` and the busy/owned step series
+of the paper's trace figures (:attr:`Observability.trace`, a
+:class:`~repro.metrics.trace.TraceRecorder`), and gives every layer a
 purpose-named emission method so the event taxonomy lives here rather
 than being scattered across call sites. Every runtime hook is guarded by
-``if obs is not None`` — constructing this object is the only thing the
-``obs`` runtime flag does.
+``if obs is not None``: the ``obs`` runtime flag constructs this object,
+and the runtime's layers emit through it; nothing else records.
 
 Track conventions (what renders where in Perfetto):
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..metrics.trace import TraceRecorder
 from .bus import EventBus
 from .events import (CAT_DLB, CAT_FAULT, CAT_MPI, CAT_RUNTIME, CAT_SCHED,
                      CAT_TASK, Track)
@@ -35,12 +38,14 @@ __all__ = ["Observability"]
 
 
 class Observability:
-    """Event bus + metrics registry + the emission vocabulary."""
+    """Event bus + metrics registry + trace series + the emission vocabulary."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.bus = EventBus(clock=lambda: sim.now)
         self.metrics = MetricsRegistry()
+        #: busy/owned core step series per (node, apprank) (Figs 5, 9, 11)
+        self.trace = TraceRecorder()
         #: (node, apprank) -> (owned count, plateau start) for DROM spans
         self._ownership: dict[tuple[int, int], tuple[int, float]] = {}
         #: process name -> stack of span starts (names can be reused)
@@ -190,7 +195,8 @@ class Observability:
         self.metrics.counter("dlb.borrowed_core_seconds").add(seconds)
 
     def ownership_sample(self, node: int, counts: dict) -> None:
-        """DROM ownership on *node*: close/open per-worker plateau spans.
+        """DROM ownership on *node*: close/open per-worker plateau spans
+        and step the owned series.
 
         *counts* maps worker keys ``(apprank, node)`` to owned-core
         counts (the arbiter's ``ownership_counts()``).
@@ -207,6 +213,7 @@ class Observability:
                     self._emit_ownership_span(node, apprank, old_count,
                                               since, now)
             self._ownership[state_key] = (count, now)
+            self.trace.set_owned(now, node, apprank, count)
             self.bus.emit_counter(f"owned:a{apprank}",
                                   Track(node, f"a{apprank}:own"), count)
         self.metrics.counter("dlb.ownership_samples").add()

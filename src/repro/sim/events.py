@@ -26,14 +26,12 @@ class EventPriority(enum.IntEnum):
     Lower values fire first. The bands are deliberately coarse: most events
     are ``NORMAL``; ``DELIVERY`` is used for message arrival so that state
     observed by same-time control logic is up to date; ``POLICY`` runs
-    periodic balancing after ordinary work has settled; ``TRACE`` runs last
-    so that recorded snapshots observe the final state of a timestamp.
+    periodic balancing after ordinary work has settled.
     """
 
     DELIVERY = 0
     NORMAL = 1
     POLICY = 2
-    TRACE = 3
 
 
 class Event:

@@ -48,7 +48,7 @@ class TestFig05:
 
     def test_trace_runtimes_attached(self, fig05_table):
         assert set(fig05_table.runtimes) == {"local", "global"}
-        trace = fig05_table.runtimes["global"].trace
+        trace = fig05_table.runtimes["global"].obs.trace
         assert trace is not None and trace.nodes("busy")
 
 

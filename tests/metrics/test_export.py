@@ -9,12 +9,11 @@ from repro.errors import ReproError
 from repro.metrics import TraceRecorder
 from repro.metrics.export import (resampled_matrix, trace_to_csv,
                                   trace_to_json, trace_to_records)
-from repro.sim import Simulator
 
 
 @pytest.fixture
 def trace():
-    trace = TraceRecorder(Simulator())
+    trace = TraceRecorder()
     trace.busy_delta(0.0, 0, 0, +2)
     trace.busy_delta(1.0, 0, 0, -1)
     trace.busy_delta(0.5, 1, 1, +3)
@@ -33,7 +32,7 @@ class TestRecords:
         assert all(r[0] == "owned" for r in records)
 
     def test_empty_trace_rejected(self):
-        empty = TraceRecorder(Simulator())
+        empty = TraceRecorder()
         with pytest.raises(ReproError):
             trace_to_records(empty)
 
@@ -75,14 +74,14 @@ class TestMatrix:
         spec = SyntheticSpec(num_appranks=2, imbalance=1.5,
                              cores_per_apprank=4, tasks_per_core=4,
                              iterations=2)
-        config = RuntimeConfig.offloading(2, "global", trace=True,
+        config = RuntimeConfig.offloading(2, "global", obs=True,
                                           global_period=0.2)
         runtime = ClusterRuntime(ClusterSpec.homogeneous(machine, 2), 2,
                                  config)
         runtime.run_app(make_synthetic_app(spec))
-        csv = trace_to_csv(runtime.trace)
+        csv = trace_to_csv(runtime.obs.trace)
         assert csv.count("\n") > 10
         matrix, labels = resampled_matrix(
-            runtime.trace, "busy", np.linspace(0, runtime.elapsed, 50))
+            runtime.obs.trace, "busy", np.linspace(0, runtime.elapsed, 50))
         assert matrix.max() <= 4
         assert matrix.min() >= 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.metrics import (StepSeries, TraceRecorder, imbalance,
                            node_imbalance_series, perfect_time, worst_time)
-from repro.sim import Simulator
 
 
 class TestImbalanceMetric:
@@ -87,7 +86,7 @@ class TestNodeImbalanceSeries:
 
 class TestTraceRecorder:
     def test_busy_deltas_accumulate(self):
-        trace = TraceRecorder(Simulator())
+        trace = TraceRecorder()
         trace.busy_delta(0.0, node=0, apprank=1, delta=+1)
         trace.busy_delta(1.0, node=0, apprank=1, delta=+1)
         trace.busy_delta(2.0, node=0, apprank=1, delta=-1)
@@ -97,30 +96,30 @@ class TestTraceRecorder:
         assert series.value_at(2.5) == 1
 
     def test_owned_absolute(self):
-        trace = TraceRecorder(Simulator())
+        trace = TraceRecorder()
         trace.set_owned(0.0, 0, 0, 22)
         trace.set_owned(1.0, 0, 0, 30)
         assert trace.series("owned", 0, 0).value_at(1.5) == 30
 
     def test_missing_series_raises(self):
-        trace = TraceRecorder(Simulator())
+        trace = TraceRecorder()
         with pytest.raises(ReproError):
             trace.series("busy", 0, 0)
         assert not trace.has_series("busy", 0, 0)
 
     def test_node_busy_sums_appranks(self):
-        trace = TraceRecorder(Simulator())
+        trace = TraceRecorder()
         trace.busy_delta(0.0, 0, 0, +3)
         trace.busy_delta(0.0, 0, 1, +2)
         total = trace.node_busy_series(0)
         assert total.value_at(0.5) == 5
 
     def test_node_busy_empty_node(self):
-        trace = TraceRecorder(Simulator())
+        trace = TraceRecorder()
         assert trace.node_busy_series(7).value_at(1.0) == 0.0
 
     def test_enumeration(self):
-        trace = TraceRecorder(Simulator())
+        trace = TraceRecorder()
         trace.busy_delta(0.0, 0, 0, 1)
         trace.busy_delta(0.0, 1, 2, 1)
         assert trace.nodes("busy") == [0, 1]

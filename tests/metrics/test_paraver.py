@@ -6,12 +6,11 @@ from repro.errors import ReproError
 from repro.metrics import TraceRecorder
 from repro.metrics.paraver import (BUSY_EVENT_TYPE, OWNED_EVENT_TYPE,
                                    export_paraver)
-from repro.sim import Simulator
 
 
 @pytest.fixture
 def trace():
-    trace = TraceRecorder(Simulator())
+    trace = TraceRecorder()
     trace.busy_delta(0.0, 0, 0, +2)
     trace.busy_delta(0.5, 0, 0, -2)
     trace.busy_delta(0.0, 1, 1, +1)
@@ -56,7 +55,7 @@ class TestExport:
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ReproError):
-            export_paraver(TraceRecorder(Simulator()), 1.0, tmp_path / "x")
+            export_paraver(TraceRecorder(), 1.0, tmp_path / "x")
 
     def test_zero_duration_rejected(self, trace, tmp_path):
         with pytest.raises(ReproError):
@@ -73,9 +72,9 @@ class TestExport:
                              iterations=2)
         runtime = ClusterRuntime(
             ClusterSpec.homogeneous(machine, 2), 2,
-            RuntimeConfig.offloading(2, "global", trace=True,
+            RuntimeConfig.offloading(2, "global", obs=True,
                                      global_period=0.2))
         runtime.run_app(make_synthetic_app(spec))
-        paths = export_paraver(runtime.trace, runtime.elapsed,
+        paths = export_paraver(runtime.obs.trace, runtime.elapsed,
                                tmp_path / "synthetic")
         assert paths["prv"].stat().st_size > 500

@@ -1,9 +1,9 @@
 """Paraver export round-trip: .prv records vs .pcf declarations vs .row.
 
 Satellite coverage for :mod:`repro.metrics.paraver`: the three files must
-agree with each other and with what the recorder actually holds — header
-counts, declared event types, monotonic timestamps, and the point-event
-value enumeration.
+agree with each other and with what the recorder and the point events
+actually hold — header counts, declared event types, monotonic
+timestamps, and the point-event value enumeration.
 """
 
 import pytest
@@ -11,27 +11,37 @@ import pytest
 from repro.metrics import TraceRecorder
 from repro.metrics.paraver import (BUSY_EVENT_TYPE, OWNED_EVENT_TYPE,
                                    POINT_EVENT_TYPE, export_paraver)
-from repro.sim import Simulator
+from repro.obs import CAT_FAULT, Instant, Track
 
 
 @pytest.fixture
 def trace():
-    trace = TraceRecorder(Simulator())
+    trace = TraceRecorder()
     trace.busy_delta(0.0, 0, 0, +2)
     trace.busy_delta(0.4, 0, 0, -1)
     trace.busy_delta(0.7, 0, 0, -1)
     trace.busy_delta(0.1, 1, 1, +1)
     trace.set_owned(0.0, 0, 0, 4)
     trace.set_owned(0.5, 0, 0, 3)
-    trace.add_event(0.2, "degrade", node=1, apprank=1, speed=0.5)
-    trace.add_event(0.6, "degrade-end", node=1, apprank=1, speed=1.0)
-    trace.add_event(0.3, "task-recovered", node=0, apprank=0)
     return trace
 
 
+def fault(time, kind, node, apprank, **detail):
+    """A fault instant shaped like ``Observability.fault`` emits it."""
+    return Instant(kind, CAT_FAULT, Track(node, "faults"), time,
+                   {"apprank": apprank, **detail})
+
+
 @pytest.fixture
-def paths(trace, tmp_path):
-    return export_paraver(trace, 1.0, tmp_path / "run")
+def events():
+    return [fault(0.2, "degrade", 1, 1, speed=0.5),
+            fault(0.6, "degrade-end", 1, 1, speed=1.0),
+            fault(0.3, "task-recovered", 0, 0)]
+
+
+@pytest.fixture
+def paths(trace, events, tmp_path):
+    return export_paraver(trace, 1.0, tmp_path / "run", events)
 
 
 def prv_body(paths):
@@ -59,7 +69,7 @@ class TestRoundTrip:
         times = [int(line.split(":")[5]) for line in prv_body(paths)]
         assert times == sorted(times)
 
-    def test_point_event_values_match_pcf_enumeration(self, trace, paths):
+    def test_point_event_values_match_pcf_enumeration(self, events, paths):
         pcf = paths["pcf"].read_text()
         # the VALUES block follows the point event type declaration
         values_block = pcf.split(str(POINT_EVENT_TYPE), 1)[1]
@@ -68,7 +78,7 @@ class TestRoundTrip:
             parts = line.split()
             if len(parts) == 2 and parts[0].isdigit():
                 mapping[int(parts[0])] = parts[1]
-        kinds = {kind for _t, kind, _n, _a, _d in trace.events}
+        kinds = {instant.name for instant in events}
         assert set(mapping.values()) == kinds == {
             "degrade", "degrade-end", "task-recovered"}
         # every emitted point record carries a declared value
@@ -78,7 +88,7 @@ class TestRoundTrip:
             and int(line.split(":")[6]) == POINT_EVENT_TYPE}
         assert point_values == set(mapping)
 
-    def test_point_record_lands_on_its_apprank_thread(self, trace, paths):
+    def test_point_record_lands_on_its_apprank_thread(self, paths):
         # apprank 1 lives on node 1 => cpu 2, task 2, thread 1
         degrade = [line for line in prv_body(paths)
                    if line.startswith("2:")
@@ -88,17 +98,8 @@ class TestRoundTrip:
         cpu, _one, task, thread = degrade[0].split(":")[1:5]
         assert (cpu, task, thread) == ("2", "2", "1")
 
-    def test_legacy_events_view_round_trips(self, trace):
-        events = trace.events
-        assert [e[1] for e in events] == ["degrade", "degrade-end",
-                                         "task-recovered"]
-        time, kind, node, apprank, detail = events[0]
-        assert (time, kind, node, apprank) == (0.2, "degrade", 1, 1)
-        assert detail == {"speed": 0.5}
-        assert trace.events_of("degrade") == [events[0]]
-
     def test_no_point_block_without_events(self, tmp_path):
-        trace = TraceRecorder(Simulator())
+        trace = TraceRecorder()
         trace.busy_delta(0.0, 0, 0, +1)
         paths = export_paraver(trace, 1.0, tmp_path / "plain")
         pcf = paths["pcf"].read_text()

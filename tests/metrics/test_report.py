@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.metrics import GLYPHS, StepSeries, TraceRecorder, render_series, render_trace
-from repro.sim import Simulator
 
 
 def series_with(points):
@@ -44,7 +43,7 @@ class TestRenderSeries:
 
 class TestRenderTrace:
     def make_trace(self):
-        trace = TraceRecorder(Simulator())
+        trace = TraceRecorder()
         trace.busy_delta(0.0, 0, 0, +4)
         trace.busy_delta(0.5, 0, 0, -2)
         trace.busy_delta(0.0, 1, 1, +1)

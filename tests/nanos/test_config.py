@@ -55,9 +55,17 @@ class TestNamedConfigs:
         assert config.policy == "global"
 
     def test_with_updates_one_field(self):
-        config = RuntimeConfig.baseline().with_(trace=True)
-        assert config.trace
+        config = RuntimeConfig.baseline().with_(obs=True)
+        assert config.obs
         assert config.offload_degree == 1
+
+    def test_trace_is_recorded_by_obs_not_a_field(self):
+        # perfbench reads ``config.trace`` as a tap flag; it stays False
+        assert RuntimeConfig.trace is False
+        with pytest.raises(TypeError):
+            RuntimeConfig(trace=True)
+        with pytest.raises(TypeError):
+            RuntimeConfig(trace_period=0.05)
 
     def test_overrides_flow_through_named_constructors(self):
         config = RuntimeConfig.offloading(2, "local", global_period=9.0)

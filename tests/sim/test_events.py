@@ -23,7 +23,7 @@ class TestOrdering:
 
     def test_priority_bands_are_ordered(self):
         assert (EventPriority.DELIVERY < EventPriority.NORMAL
-                < EventPriority.POLICY < EventPriority.TRACE)
+                < EventPriority.POLICY)
 
 
 class TestCancellation:
